@@ -1,11 +1,17 @@
+import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semchan import (
     BitFlipTS,
     Channel,
+    ObjectRef,
     PerfectTS,
+    PredicateCode,
+    Proposition,
     SubstituteTS,
     TruncateTS,
     encode_frame,
@@ -176,3 +182,95 @@ def test_replay_determinism_full_transcripts():
             c = make_channel(cfg)
             runs.append([transmit(c, p).transcript.to_json() for p in props])
         assert runs[0] == runs[1]
+
+
+# Noise pinned to the `bitflip:<seed>:<use>` RNG stream: a faster
+# implementation must reproduce these received bytes exactly, so every
+# recorded transcript stays replayable.
+GOLDEN_PROPS = [
+    ON112,
+    parse_proposition("~NT(*)"),
+    parse_proposition("#77(5)"),
+    Proposition(True, PredicateCode("Tr"),
+                ObjectRef.nested(encode_frame(parse_proposition("~P(3)")))),
+]
+
+GOLDEN_BITFLIP = {
+    (0.01, 0): [('a55a0100090100024f4e010001311537', 'a55a0100090100024f4e000001703533', 'a55a0100090100224f4e000001701537', 'a55a0100090100024f6e000441701537'), ('a55a0100080000024e54030000e093', 'a55a0100080000024e54020000a1b3', 'a55a0100080000224e54020000a193', 'a55a0100080000024e74020440a193'), ('a55a0100080101014d000101058d2d', 'a55a0100080101014d00000105cc0d', 'a55a0100080101214d00000105cc2d', 'a55a0100080101014d20000545cc2d'), ('a55a01001001000254720000084100015000000103447c', 'a55a010010010002547201000800200550000001034478', 'a55a01001001002254720100080000015000000103447c', 'a55a01001001000254520104480000015000000103447c')],
+    (0.01, 7): [('a55a0100090100024f4e020001741537', 'a55a0100090100024f4e000001701537', 'a55a0100090100024f6e000001701437', 'a55a0100090140024f4e000001701537'), ('a55a0100080000024e54000000a593', 'a55a0100080000024e54020000a193', 'a55a0100080000024e74020000a192', 'a55a0100080040024e54020000a193'), ('a55a0100080101014d00020105c82d', 'a55a0100080101014d00000105cc2d', 'a55a0100080101014d20000105cc2c', 'a55a0100080141014d00000105cc2d'), ('a55a01001001000254720300080400015000000983447c', 'a55a01001001000254720100080000015000000103447c', 'a55a01001001000254520100080001015000000103447c', 'a55a01001001400254720100080000015000008103447c')],
+    (0.01, 42): [('a55a0100090100024f4a000001701537', 'e55a0100010100024f4e000001701537', 'a15a0100090100024f4e000001701537', 'ad5a0100090100024f4e008001701577'), ('a55a0100080000024e50020000a193', 'e55a0100000000024e54020000a193', 'a15a0100080000024e54020000a193', 'ad5a0100080000024e54028000a193'), ('a55a0100080101014d04000105cc2d', 'e55a0100000101014d00000105cc2d', 'a15a0100080101014d00000105cc2d', 'ad5a0100080101014d00008105cc2d'), ('a55a01001001000254760100080000015000000103447c', 'e55a01001801000254720100080000015020000103447c', 'a15a01001001000254720100080000015000000103447c', 'ad5a01001001000254720180080000415000000103447c')],
+    (0.3, 0): [('39d909ca0a286020648c078609037503', 'a31f8d4429451d45dbfe804a96323fb1', 'e95203a24e2d01225d5c504383035dd3', '0dd91da04b9a82635366400e4169066d'), ('39d909ca0b2960206596058608d2f3', 'a31f8d4428441d45dae4824a97e3b9', 'e95203a24f2c01225c46524382d2db', '0dd91da04a9b8263527c420e40b880'), ('39d909ca0b28612366c207870dbf4d', 'a31f8d4428451c46d9b0804b928e07', 'e95203a24f2d00215f12504287bf65', '0dd91da04a9a83605128400f45d53e'), ('39d909ca132860207fb00686007360355c498013858476', 'a31f8d4430451d45c0c2814a9f422a87c1094083434e90', 'e95203a2572d0122466051438a7348e575020c9512876c', '0dd91da0529a8263485a410e4819135b5e0d69454acc0f')],
+    (0.3, 7): [('ad5a410819078a38cd0436021394313f', '857a05a008031108cc0e076225781d2e', 'a71b48594928c60b7f3e0900783004bb', '65c30b002011c8804d576d010e709d0d'), ('ad5a410818068a38cc1e34021245b7', '857a05a009021108cd14056224a99b', 'a71b48594829c60b7e240b0079e182', '65c30b002110c8804c4d6f010fa11b'), ('ad5a410818078b3bcf4a3603172809', '857a05a00903100bce40076321c425', 'a71b48594828c7087d7009017c8c3c', '65c30b002111c9834f196d000acca5'), ('ad5a410800078a38d63837021ae424097959008dd35438', '857a05a011031108d73206622c08081872040015918c1a', 'a71b48595028c60b640208007140118dd51c01c34b78be', '65c30b003911c880566b6c010700883bf8840287d34676')],
+    (0.3, 42): [('a6c60d49011480c10dcaa08b051e5447', 'f19b0504030d49a25f4e40003175c472', 'b1ba8d420f422282cf085242089a9546', 'ff5f41804dd1500a476c7ee82d420071'), ('a6c60d49001580c10cd0a28b04cfd2', 'f19b0504020c49a25e54420030a442', 'b1ba8d420e432282ce125042094b13', 'ff5f41804cd0500a46767ce82c9386'), ('a6c60d49001481c20f84a08a01a26c', 'f19b0504020d48a15d00400135c9fc', 'b1ba8d420e422381cd4652430c26ad', 'ff5f41804cd1510945227ee929fe38'), ('a6c60d49181480c116f6a18b0c6e41714944a1631bc47c', 'f19b05041a0d49a2447241003805d14448a6400300543c', 'b1ba8d4216422282d434534201ea8070780048012f4574', 'ff5f418054d1500a5c507fe8243215473e5cd0451b047e')],
+}
+
+
+def bits_hex(bits: str) -> str:
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8)).hex()
+
+
+@pytest.mark.parametrize("p,seed", sorted(GOLDEN_BITFLIP))
+def test_bitflip_golden_recv_bytes(p, seed):
+    got = []
+    for prop in GOLDEN_PROPS:
+        c = make_channel({"kind": "bitflip", "p": p, "seed": seed})
+        got.append(tuple(bits_hex(transmit(c, prop).transcript.recv_bits)
+                         for _ in range(4)))
+    assert got == GOLDEN_BITFLIP[(p, seed)]
+
+
+def bitflip_reference(data: bytes, p: float, seed: int, n: int) -> bytes:
+    """The original per-bit loop: one draw per bit, in bit order."""
+    if p == 0.0:
+        return data
+    rng = random.Random(f"bitflip:{seed}:{n}")
+    out = bytearray(data)
+    for i in range(len(out) * 8):
+        if rng.random() < p:
+            out[i // 8] ^= 0x80 >> (i % 8)
+    return bytes(out)
+
+
+def truncate_reference(data: bytes, max_bits: int) -> bytes:
+    """The original bit-string truncation, zero-padding a partial byte."""
+    bits = "".join(format(b, "08b") for b in data)
+    if len(bits) <= max_bits:
+        return data
+    kept = bits[:max_bits]
+    padded = kept + "0" * (-len(kept) % 8)
+    return bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=64),
+       p=st.one_of(st.sampled_from([0.0, 1.0, 0.01, 0.5]),
+                   st.floats(min_value=0.0, max_value=1.0)),
+       seed=st.integers(min_value=-2**63, max_value=2**63),
+       n=st.integers(min_value=0, max_value=10**9))
+def test_bitflip_matches_per_bit_reference(data, p, seed, n):
+    assert BitFlipTS(p, seed).apply(data, n) == bitflip_reference(data, p, seed, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.binary(max_size=40))
+def test_truncate_matches_bit_string_reference(data):
+    for max_bits in range(len(data) * 8 + 10):
+        assert TruncateTS(max_bits).apply(data, 0) == truncate_reference(data, max_bits)
+
+
+TRANSCRIPT_CFGS = [
+    {"kind": "perfect"},
+    {"kind": "bitflip", "p": 0.05, "seed": 5},
+    {"kind": "truncate", "max_bits": 150},
+]
+
+
+def test_transcript_json_digest_pinned():
+    h = hashlib.sha256()
+    props = corpus(seed=2024, count=200)
+    for cfg in TRANSCRIPT_CFGS:
+        c = make_channel(cfg)
+        for p in props:
+            h.update(json.dumps(transmit(c, p).transcript.to_json()).encode())
+    assert h.hexdigest() == (
+        "8c4bd1b3946b2830ba29dbd4c9865f66ec5b0f46545621a91a61bdfcc20bd7db")

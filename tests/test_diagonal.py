@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from semchan import (
@@ -186,3 +189,25 @@ def test_paradox_report_json_has_trace():
     assert len(doc["case_trace"]) == 2
     assert all({"assumption", "consequence", "contradiction"} == set(s)
                for s in doc["case_trace"])
+
+
+ERR_NESTED = encode_frame(Proposition(
+    True, PredicateCode("Err"),
+    ObjectRef.nested(encode_frame(parse_proposition("~P(3)")))))
+
+
+@pytest.mark.parametrize("frame,kinds,digest", [
+    (build_Err_all(), "NPNNPNPNNNNNPNPPNNNNNNPNNPPNNN",
+     "0314d30db93e2116fecd1a1133b747244d6e5e3626a70e9eac7361119e681f75"),
+    (ERR_NESTED, "NTNNNTNNNNNNNTNNNNNTNNNNNNNNNT",
+     "ecd2e818a2d467d2ac354dbdf65b764dbbd095023f9f38b4d0747e9c11fbc3d1"),
+])
+def test_err_analyses_pinned_over_noisy_channel(frame, kinds, digest):
+    # Err compares sent and received bytes; a low flip rate gives a mix
+    # of all three verdicts across uses of one channel.
+    c = make_channel({"kind": "bitflip", "p": 0.01, "seed": 3})
+    reports = [analyze_self_reference(c, frame) for _ in range(30)]
+    letter = {PARADOXICAL: "P", NON_TRANSFERABLE: "N", TRANSFERABLE: "T"}
+    assert "".join(letter[r.verdict.kind] for r in reports) == kinds
+    doc = json.dumps([r.to_json() for r in reports]).encode()
+    assert hashlib.sha256(doc).hexdigest() == digest

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 from semchan import (
     check_transferable,
     encode_frame,
@@ -78,3 +81,16 @@ def test_replay_determinism_verdicts():
         c = make_channel(cfg)
         kinds.append([check_transferable(c, p).kind for p in props])
     assert kinds[0] == kinds[1]
+
+
+def test_verdict_json_digest_pinned():
+    h = hashlib.sha256()
+    props = corpus(seed=2024, count=200)
+    for cfg in ({"kind": "perfect"},
+                {"kind": "bitflip", "p": 0.05, "seed": 5},
+                {"kind": "truncate", "max_bits": 150}):
+        c = make_channel(cfg)
+        for p in props:
+            h.update(json.dumps(check_transferable(c, p).to_json()).encode())
+    assert h.hexdigest() == (
+        "9e119d19368309a53b4ca19d51ec26128b0b617e1ff3b95402da816152e94cfc")

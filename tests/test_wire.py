@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from semchan import crc16, encode_frame, frame_to_wire, parse_proposition, wire_to_frames
 from semchan.wire import SYNC, body_bytes, parse_body
@@ -39,6 +40,11 @@ def test_crc_matches_oracle_random():
     for _ in range(200):
         data = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
         assert crc16(data) == crc16_oracle(data)
+
+
+@given(st.binary(max_size=300))
+def test_crc_matches_oracle_property(data):
+    assert crc16(data) == crc16_oracle(data)
 
 
 def test_body_golden_on112():
