@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import os
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .codec import decode_frame, encode_frame
@@ -27,12 +26,6 @@ class ChannelConfigError(ValueError):
 
 def _bytes_to_bits(data: bytes) -> str:
     return "".join(format(b, "08b") for b in data)
-
-
-def _bits_to_bytes(bits: str) -> bytes:
-    # zero-pad a trailing partial byte
-    padded = bits + "0" * (-len(bits) % 8)
-    return bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8))
 
 
 class TransmissionSystem:
@@ -74,16 +67,22 @@ class BitFlipTS(TransmissionSystem):
     def apply(self, data: bytes, n: int) -> bytes:
         if self.p == 0.0:
             return data
-        rng = random.Random(f"bitflip:{self.seed}:{n}")
+        # one draw per bit, in bit order: this stream is what transcripts
+        # replay, so the draw count and order must not change
+        draw = random.Random(f"bitflip:{self.seed}:{n}").random
+        p = self.p
+        flips = [i for i in range(len(data) * 8) if draw() < p]
+        if not flips:
+            return data
         out = bytearray(data)
-        for i in range(len(out) * 8):
-            if rng.random() < self.p:
-                out[i // 8] ^= 0x80 >> (i % 8)
+        for i in flips:
+            out[i >> 3] ^= 0x80 >> (i & 7)
         return bytes(out)
 
 
 class TruncateTS(TransmissionSystem):
-    """Keeps only the first max_bits bits of the stream.
+    """Keeps only the first max_bits bits of the stream, zero-padding a
+    trailing partial byte.
 
     max_bits = 0 (drop everything) is allowed: the diagonal analyses
     need a channel over which nothing ever arrives.
@@ -98,10 +97,13 @@ class TruncateTS(TransmissionSystem):
         self.analytic_injective = None
 
     def apply(self, data: bytes, n: int) -> bytes:
-        bits = _bytes_to_bits(data)
-        if len(bits) <= self.max_bits:
+        if len(data) * 8 <= self.max_bits:
             return data
-        return _bits_to_bytes(bits[:self.max_bits])
+        whole, rest = divmod(self.max_bits, 8)
+        if not rest:
+            return data[:whole]
+        # a trailing partial byte keeps its top `rest` bits, zero-padded
+        return data[:whole] + bytes([data[whole] & (0xFF00 >> rest) & 0xFF])
 
 
 class SubstituteTS(TransmissionSystem):
@@ -137,23 +139,43 @@ class Channel:
     """Active channel: codec halves plus a TS and a monotone use counter."""
 
     ts: TransmissionSystem
-    id: str = "channel"
     uses: int = 0
 
 
 @dataclass(frozen=True)
 class Transcript:
-    """Replayable record of one transmit."""
+    """Replayable record of one transmit.
 
-    sent: str
-    sent_bits: str
-    recv_bits: str
-    recv: Optional[str]
+    Stores what was sent and received; the text and bit-string forms are
+    rendered from those facts when read.
+    """
+
+    sent_proposition: Proposition
+    recv_proposition: Optional[Proposition]
+    sent_bytes: bytes
+    recv_bytes: bytes
     error: Optional[str]
     ts_kind: str
     seed: int
     n: int
-    timestamp: float
+
+    @property
+    def sent(self) -> str:
+        return render_proposition(self.sent_proposition)
+
+    @property
+    def recv(self) -> Optional[str]:
+        if self.recv_proposition is None:
+            return None
+        return render_proposition(self.recv_proposition)
+
+    @property
+    def sent_bits(self) -> str:
+        return _bytes_to_bits(self.sent_bytes)
+
+    @property
+    def recv_bits(self) -> str:
+        return _bytes_to_bits(self.recv_bytes)
 
     def to_json(self) -> dict:
         # fixed JSONL field set
@@ -187,7 +209,15 @@ def make_channel(config: dict) -> Channel:
     The SEMCHAN_SEED environment variable overrides the config seed.
     """
     kind = config.get("kind", "perfect")
-    seed = int(os.environ.get("SEMCHAN_SEED", config.get("seed", 0)))
+    env_seed = os.environ.get("SEMCHAN_SEED")
+    if env_seed is None:
+        seed = int(config.get("seed", 0))
+    else:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ChannelConfigError(
+                f"SEMCHAN_SEED must be an integer, got {env_seed!r}") from None
     if kind == "perfect":
         ts: TransmissionSystem = PerfectTS()
     elif kind == "bitflip":
@@ -198,7 +228,7 @@ def make_channel(config: dict) -> Channel:
         ts = SubstituteTS(config.get("map", {}))
     else:
         raise ChannelConfigError(f"unknown TS kind: {kind!r}")
-    return Channel(ts=ts, id=str(config.get("id", kind)))
+    return Channel(ts=ts)
 
 
 def load_channel(path: str) -> Channel:
@@ -230,15 +260,14 @@ def transmit(c: Channel, p: Proposition) -> TransmitOutcome:
         detail = "; ".join(f"{d.kind}@{d.offset}: {d.detail}" for d in diags)
         error = f"no frame recovered ({detail or 'empty stream'})"
     t = Transcript(
-        sent=render_proposition(p),
-        sent_bits=_bytes_to_bits(sent_bytes),
-        recv_bits=_bytes_to_bits(recv_bytes),
-        recv=None if recv_prop is None else render_proposition(recv_prop),
+        sent_proposition=p,
+        recv_proposition=recv_prop,
+        sent_bytes=sent_bytes,
+        recv_bytes=recv_bytes,
         error=error,
         ts_kind=c.ts.kind,
         seed=getattr(c.ts, "seed", 0),
         n=n,
-        timestamp=time.time(),
     )
     return TransmitOutcome(recv_prop, error, t)
 

@@ -228,10 +228,10 @@ def analyze_self_reference(c: Channel, f: Frame) -> ParadoxReport:
             observed = eval_Tr(c, target)
         else:  # Err: byte-level error on the target's own transmission
             if p.object.kind == "all":
-                observed = outcome.transcript.sent_bits != outcome.transcript.recv_bits
+                t = outcome.transcript
             else:
-                sub = transmit(c, decode_frame(f.object_frame))
-                observed = sub.transcript.sent_bits != sub.transcript.recv_bits
+                t = transmit(c, decode_frame(f.object_frame)).transcript
+            observed = t.sent_bytes != t.recv_bytes
         claim = f"{name} holds of {self_desc}" if asserted \
             else f"{name} fails of {self_desc}"
         trace.append(TraceStep(

@@ -238,16 +238,13 @@ class World:
     literals: FrozenSet[Tuple[PredicateCode, int, bool]]
 
     def __post_init__(self):
-        seen = set()
         for pred, obj, pol in self.literals:
             if obj not in self.domain:
                 raise ValueError(f"literal object {obj} not in domain")
-            key = (pred, obj)
             if (pred, obj, not pol) in self.literals:
                 raise InconsistentWorldError(
                     f"both polarities asserted for {pred}({obj})"
                 )
-            seen.add(key)
 
     @staticmethod
     def build(

@@ -6,7 +6,9 @@ Wire frame layout:
     VER   1 byte   0x01
     LEN   2 bytes  big-endian byte length of BODY
     BODY  encoded frame (grammar below)
-    CRC   2 bytes  big-endian CRC-16/CCITT-FALSE over VER || LEN || BODY
+    CRC   2 bytes  big-endian CRC-16/IBM-3740 (formerly CCITT-FALSE)
+                   over VER || LEN || BODY; catalogue entry at
+                   https://reveng.sourceforge.io/crc-catalogue/16.htm
 
 BODY grammar:
 
@@ -25,9 +27,10 @@ diagnostic event, never an exception.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 
-from .codec import Frame
+from .codec import Frame, _min_be_bytes
 from .model import MAX_NESTING_DEPTH
 
 SYNC = b"\xa5\x5a"
@@ -40,29 +43,13 @@ OTAG_NUMBER = 0x00
 OTAG_NESTED = 0x01
 OTAG_ALL = 0x02
 
-_CRC_POLY = 0x1021
-
-
-def _make_crc_table():
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ _CRC_POLY) if crc & 0x8000 else (crc << 1)
-            crc &= 0xFFFF
-        table.append(crc)
-    return table
-
-
-_CRC_TABLE = _make_crc_table()
-
-
 def crc16(data: bytes) -> int:
-    """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflect, no xorout."""
-    crc = 0xFFFF
-    for b in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[((crc >> 8) ^ b) & 0xFF]
-    return crc
+    """CRC-16/IBM-3740, formerly CCITT-FALSE: poly 0x1021, init 0xFFFF,
+    no reflection, no xorout; check value 0x29B1.
+
+    https://reveng.sourceforge.io/crc-catalogue/16.htm
+    """
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 class BodyError(ValueError):
@@ -85,8 +72,7 @@ def body_bytes(f: Frame, depth: int = 0) -> bytes:
     out.append(len(f.predicate_bytes))
     out += f.predicate_bytes
     if f.object_tag == "number":
-        n = f.object_number
-        obytes = n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
+        obytes = _min_be_bytes(f.object_number)
         out.append(OTAG_NUMBER)
         out += len(obytes).to_bytes(2, "big")
         out += obytes

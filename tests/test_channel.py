@@ -155,6 +155,13 @@ def test_seed_env_override(monkeypatch):
     assert c.ts.seed == 99
 
 
+def test_seed_env_must_be_integer(monkeypatch):
+    monkeypatch.setenv("SEMCHAN_SEED", "abc")
+    with pytest.raises(ChannelConfigError,
+                       match="SEMCHAN_SEED must be an integer, got 'abc'"):
+        make_channel({"kind": "bitflip", "p": 0.5, "seed": 1})
+
+
 def test_transcript_jsonl_fields(tmp_path):
     c = make_channel({"kind": "perfect"})
     out = transmit(c, ON112)
@@ -205,16 +212,12 @@ GOLDEN_BITFLIP = {
 }
 
 
-def bits_hex(bits: str) -> str:
-    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8)).hex()
-
-
 @pytest.mark.parametrize("p,seed", sorted(GOLDEN_BITFLIP))
 def test_bitflip_golden_recv_bytes(p, seed):
     got = []
     for prop in GOLDEN_PROPS:
         c = make_channel({"kind": "bitflip", "p": p, "seed": seed})
-        got.append(tuple(bits_hex(transmit(c, prop).transcript.recv_bits)
+        got.append(tuple(transmit(c, prop).transcript.recv_bytes.hex()
                          for _ in range(4)))
     assert got == GOLDEN_BITFLIP[(p, seed)]
 

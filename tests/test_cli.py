@@ -113,6 +113,14 @@ def test_check_json(capsys, perfect_cfg):
     assert doc["sent"] == doc["recv"] == "ON(112)"
 
 
+def test_non_integer_seed_env_exit_2(capsys, monkeypatch, bitflip_cfg):
+    monkeypatch.setenv("SEMCHAN_SEED", "abc")
+    code, out, err = run_cli(capsys, "check", "ON(112)", "--channel", bitflip_cfg)
+    assert code == 2
+    assert out == ""
+    assert "SEMCHAN_SEED must be an integer, got 'abc'" in err
+
+
 def test_missing_config_exit_3(capsys):
     code, _, err = run_cli(capsys, "check", "ON(112)", "--channel", "/nope.json")
     assert code == 3

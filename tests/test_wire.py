@@ -10,7 +10,7 @@ from genprops import corpus
 
 
 def crc16_oracle(data: bytes) -> int:
-    """Independent bitwise CRC-16/CCITT-FALSE."""
+    """Independent bitwise CRC-16/IBM-3740 (formerly CCITT-FALSE)."""
     crc = 0xFFFF
     for byte in data:
         crc ^= byte << 8
