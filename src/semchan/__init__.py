@@ -18,7 +18,7 @@ from .model import (
     render_proposition,
 )
 from .codec import Frame, decode_frame, encode_frame, payload_bits
-from .wire import crc16, frame_to_wire, wire_to_frames
+from .wire import crc16, frame_to_wire, receive, wire_to_frames
 from .channel import (
     BitFlipTS,
     Channel,

@@ -1,10 +1,11 @@
 """Active channel triple: encode, pluggable transmission system, decode.
 
-The encoder/decoder halves are fixed to the codec module's functions;
-what varies is the transmission system applied to the serialized wire
-bytes.  Noisy systems are seeded and counter-indexed so every transcript
-is replayable.  Decode failures are values, never exceptions: the
-receiver must be able to observe "did not arrive" as an outcome.
+The encoder/decoder halves are fixed to the codec and wire modules'
+functions; what varies is the transmission system applied to the
+serialized wire bytes.  Noisy systems are seeded and counter-indexed so
+every transcript is replayable.  ``transmit`` returns the ``Transcript``
+of the use: decode failures are values in it, never exceptions, because
+the receiver must be able to observe "did not arrive" as an outcome.
 """
 
 from __future__ import annotations
@@ -15,13 +16,24 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .codec import decode_frame, encode_frame
-from .model import Proposition, render_proposition
-from .wire import frame_to_wire, wire_to_frames
+from .codec import encode_frame
+from .model import Proposition, equivalent, render_proposition
+from .wire import frame_to_wire, receive
 
 
 class ChannelConfigError(ValueError):
     """Raised for unknown TS kinds or invalid TS parameters."""
+
+
+def _integer(value, what: str) -> int:
+    """An int or a string of one; anything else (a bool, a float, None) is
+    a ChannelConfigError naming what was wrong."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ChannelConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def _bytes_to_bits(data: bytes) -> str:
@@ -113,11 +125,14 @@ class SubstituteTS(TransmissionSystem):
     analytic_injective = True
 
     def __init__(self, mapping: dict[int, int]):
+        try:
+            keys = bytes(map(int, mapping))
+            values = bytes(map(int, mapping.values()))
+        except (AttributeError, TypeError, ValueError) as e:
+            raise ChannelConfigError(
+                f"config field 'map' must map byte values to byte values: {e}") from None
         table = list(range(256))
-        for k, v in mapping.items():
-            k, v = int(k), int(v)
-            if not (0 <= k <= 255 and 0 <= v <= 255):
-                raise ChannelConfigError(f"byte map entry out of range: {k}->{v}")
+        for k, v in zip(keys, values):
             table[k] = v
         if len(set(table)) != 256:
             raise ChannelConfigError("byte map is not a bijection")
@@ -160,6 +175,16 @@ class Transcript:
     n: int
 
     @property
+    def ok(self) -> bool:
+        """A single clean frame arrived and decoded."""
+        return self.recv_proposition is not None
+
+    @property
+    def transferred(self) -> bool:
+        """What arrived is equivalent to what was sent."""
+        return self.ok and equivalent(self.recv_proposition, self.sent_proposition)
+
+    @property
     def sent(self) -> str:
         return render_proposition(self.sent_proposition)
 
@@ -190,40 +215,33 @@ class Transcript:
         }
 
 
-@dataclass(frozen=True)
-class TransmitOutcome:
-    """Received proposition, or a decode error, plus the transcript."""
-
-    proposition: Optional[Proposition]
-    error: Optional[str]
-    transcript: Transcript
-
-    @property
-    def ok(self) -> bool:
-        return self.proposition is not None
-
-
 def make_channel(config: dict) -> Channel:
     """Build a channel from {kind, p, seed, max_bits, map}; Perfect if no kind.
 
     The SEMCHAN_SEED environment variable overrides the config seed.
+    Every invalid field raises ChannelConfigError naming it.
     """
+    if not isinstance(config, dict):
+        raise ChannelConfigError(
+            f"channel config must be a JSON object, got {type(config).__name__}")
     kind = config.get("kind", "perfect")
     env_seed = os.environ.get("SEMCHAN_SEED")
     if env_seed is None:
-        seed = int(config.get("seed", 0))
+        seed = _integer(config.get("seed", 0), "config field 'seed'")
     else:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ChannelConfigError(
-                f"SEMCHAN_SEED must be an integer, got {env_seed!r}") from None
+        seed = _integer(env_seed, "SEMCHAN_SEED")
     if kind == "perfect":
         ts: TransmissionSystem = PerfectTS()
     elif kind == "bitflip":
-        ts = BitFlipTS(float(config.get("p", 0.0)), seed)
+        p = config.get("p", 0.0)
+        try:
+            p = float(p)
+        except (TypeError, ValueError):
+            raise ChannelConfigError(
+                f"config field 'p' must be a number, got {p!r}") from None
+        ts = BitFlipTS(p, seed)
     elif kind == "truncate":
-        ts = TruncateTS(int(config["max_bits"]))
+        ts = TruncateTS(_integer(config.get("max_bits"), "config field 'max_bits'"))
     elif kind == "substitute":
         ts = SubstituteTS(config.get("map", {}))
     else:
@@ -236,40 +254,36 @@ def load_channel(path: str) -> Channel:
         return make_channel(json.load(fh))
 
 
-def transmit(c: Channel, p: Proposition) -> TransmitOutcome:
-    """Send one proposition: encode, serialize, TS, parse, decode.
+def transmit(c: Channel, p: Proposition) -> Transcript:
+    """Send one proposition: encode, serialize, TS, receive.
 
-    Decode failure is a first-class outcome.  Each call advances the
-    channel's use counter.
+    Decode failure is a first-class outcome: the transcript's error says
+    why nothing arrived.  Each call advances the channel's use counter.
     """
     n = c.uses
     c.uses += 1
     sent_bytes = frame_to_wire(encode_frame(p))
     recv_bytes = c.ts.apply(sent_bytes, n)
-    frames, diags = wire_to_frames(recv_bytes)
+    props, diags = receive(recv_bytes)
     recv_prop: Optional[Proposition] = None
     error: Optional[str] = None
-    if len(frames) == 1 and not diags:
-        try:
-            recv_prop = decode_frame(frames[0])
-        except ValueError as e:
-            error = f"frame decode failed: {e}"
-    elif frames:
-        error = f"expected one clean frame, got {len(frames)} with {len(diags)} diagnostics"
+    if len(props) == 1 and not diags:
+        recv_prop = props[0]
+    elif props:
+        error = f"expected one clean frame, got {len(props)} with {len(diags)} diagnostics"
     else:
         detail = "; ".join(f"{d.kind}@{d.offset}: {d.detail}" for d in diags)
         error = f"no frame recovered ({detail or 'empty stream'})"
-    t = Transcript(
+    return Transcript(
         sent_proposition=p,
         recv_proposition=recv_prop,
         sent_bytes=sent_bytes,
         recv_bytes=recv_bytes,
         error=error,
         ts_kind=c.ts.kind,
-        seed=getattr(c.ts, "seed", 0),
+        seed=c.ts.seed,
         n=n,
     )
-    return TransmitOutcome(recv_prop, error, t)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .model import (
 )
 from .tarski import ground_corpus, verify_bridge
 from .transfer import TRANSFERABLE, check_transferable
-from .wire import frame_to_wire, wire_to_frames
+from .wire import frame_to_wire, receive
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -69,20 +69,13 @@ def cmd_decode(args) -> int:
     except ValueError as e:
         print(f"bad hex: {e}", file=sys.stderr)
         return EXIT_USAGE
-    frames, diags = wire_to_frames(raw)
-    props = [render_proposition(decode_frame(f)) for f in frames]
+    props, diags = receive(raw)
     doc = {
-        "propositions": props,
+        "propositions": [render_proposition(p) for p in props],
         "diagnostics": [f"{d.kind}@{d.offset}: {d.detail}" for d in diags],
     }
-    _emit(args, doc, "\n".join(props + doc["diagnostics"]))
-    if not frames:
-        return EXIT_USAGE
-    return EXIT_OK
-
-
-def _verdict_exit(kind: str) -> int:
-    return EXIT_OK if kind == TRANSFERABLE else EXIT_NEGATIVE
+    _emit(args, doc, "\n".join(doc["propositions"] + doc["diagnostics"]))
+    return EXIT_OK if props else EXIT_USAGE
 
 
 def cmd_transmit(args) -> int:
@@ -93,15 +86,7 @@ def cmd_transmit(args) -> int:
         append_transcript(args.transcript, verdict.evidence)
     text = f"received: {verdict.evidence.recv}\nverdict: {verdict.kind}"
     _emit(args, verdict.to_json(), text)
-    return _verdict_exit(verdict.kind)
-
-
-def cmd_check(args) -> int:
-    c = load_channel(args.channel)
-    p = parse_proposition(args.text)
-    verdict = check_transferable(c, p)
-    _emit(args, verdict.to_json(), f"verdict: {verdict.kind}")
-    return _verdict_exit(verdict.kind)
+    return EXIT_OK if verdict.kind == TRANSFERABLE else EXIT_NEGATIVE
 
 
 def _load_predicates(path: str) -> list[PredicateCode]:
@@ -165,15 +150,9 @@ def handle_stream(data: bytes, analyze: bool = False,
                   expected: list[str] | None = None) -> tuple[list[str], int]:
     """Receiver logic for one connection; returns (output lines, exit code)."""
     lines: list[str] = []
-    frames, diags = wire_to_frames(data)
+    props, diags = receive(data)
     code = EXIT_OK
-    for i, frame in enumerate(frames):
-        try:
-            p = decode_frame(frame)
-        except ValueError as e:
-            lines.append(f"frame {i}: undecodable ({e})")
-            code = EXIT_NEGATIVE
-            continue
+    for i, p in enumerate(props):
         text = render_proposition(p)
         if expected and i < len(expected):
             ok = text == expected[i]
@@ -183,10 +162,13 @@ def handle_stream(data: bytes, analyze: bool = False,
         else:
             lines.append(text)
         if analyze and p.predicate.is_builtin and p.object.kind != "number":
-            report = analyze_self_reference(make_channel({}), frame)
+            report = analyze_self_reference(make_channel({}), encode_frame(p))
             lines.extend(_paradox_text(report).splitlines())
     for d in diags:
-        lines.append(f"diagnostic {d.kind}@{d.offset}: {d.detail}")
+        if d.kind == "undecodable":
+            lines.append(f"frame {d.offset}: undecodable ({d.detail})")
+        else:
+            lines.append(f"diagnostic {d.kind}@{d.offset}: {d.detail}")
         code = EXIT_NEGATIVE
     return lines, code
 
@@ -268,12 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decode", cmd_decode, help="decode wire-frame hex")
     p.add_argument("hex")
 
-    for name, func in (("transmit", cmd_transmit), ("check", cmd_check)):
-        p = add(name, func, help=f"{name} a proposition over a channel")
+    for name in ("transmit", "check"):
+        p = add(name, cmd_transmit, help=f"{name} a proposition over a channel")
         p.add_argument("text")
         p.add_argument("--channel", required=True, help="channel config JSON")
         if name == "transmit":
             p.add_argument("--transcript", help="append JSONL transcript here")
+        else:
+            p.set_defaults(transcript=None)
 
     p = add("diagonalize", cmd_diagonalize, help="build the diagonal fixed point")
     p.add_argument("--predicates", required=True,

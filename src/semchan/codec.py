@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .model import (
     MAX_NESTING_DEPTH,
+    MAX_OBJECT_NUMBER,
     ObjectRef,
     PredicateCode,
     Proposition,
@@ -77,7 +78,8 @@ def encode_frame(p: Proposition) -> Frame:
 
 
 def decode_frame(f: Frame) -> Proposition:
-    """Exact inverse of encode_frame on the valid domain."""
+    """Exact inverse of encode_frame on the valid domain; raises
+    FrameDecodeError for every well-typed frame outside it."""
     if f.predicate_tag == "name":
         try:
             pred = PredicateCode(f.predicate_bytes.decode("ascii"))
@@ -91,8 +93,9 @@ def decode_frame(f: Frame) -> Proposition:
     else:
         raise FrameDecodeError(f"bad predicate tag: {f.predicate_tag!r}")
     if f.object_tag == "number":
-        if f.object_number == 0:
-            raise FrameDecodeError("zero-valued number object")
+        if not 1 <= f.object_number <= MAX_OBJECT_NUMBER:
+            raise FrameDecodeError(
+                f"number object out of range 1..2^64-1: {f.object_number}")
         obj = ObjectRef.num(f.object_number)
     elif f.object_tag == "all":
         obj = ObjectRef.all_objects()

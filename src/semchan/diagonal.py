@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from .codec import Frame, decode_frame, encode_frame
 from .channel import Channel, transmit
-from .model import ObjectRef, PredicateCode, Proposition, equivalent
+from .model import ObjectRef, PredicateCode, Proposition
 from .transfer import (
     NON_TRANSFERABLE,
     PARADOXICAL,
@@ -204,8 +204,8 @@ def analyze_self_reference(c: Channel, f: Frame) -> ParadoxReport:
     if p.object.kind == "number":
         raise ValueError("self-reference analysis needs object '*' or a nested frame")
 
-    outcome = transmit(c, p)
-    fidelity = outcome.ok and equivalent(outcome.proposition, p)
+    transcript = transmit(c, p)
+    fidelity = transcript.transferred
     name = p.predicate.value
     asserted = p.polarity
     self_desc = "its own code" if p.object.kind == "all" else "the nested frame"
@@ -228,9 +228,9 @@ def analyze_self_reference(c: Channel, f: Frame) -> ParadoxReport:
             observed = eval_Tr(c, target)
         else:  # Err: byte-level error on the target's own transmission
             if p.object.kind == "all":
-                t = outcome.transcript
+                t = transcript
             else:
-                t = transmit(c, decode_frame(f.object_frame)).transcript
+                t = transmit(c, decode_frame(f.object_frame))
             observed = t.sent_bytes != t.recv_bytes
         claim = f"{name} holds of {self_desc}" if asserted \
             else f"{name} fails of {self_desc}"
@@ -265,7 +265,7 @@ def analyze_self_reference(c: Channel, f: Frame) -> ParadoxReport:
         kind = NON_TRANSFERABLE
     verdict = Verdict(
         kind,
-        outcome.transcript,
+        transcript,
         tuple(f"{s.assumption} -> {s.consequence}" for s in trace),
     )
     return ParadoxReport(

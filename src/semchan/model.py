@@ -148,14 +148,7 @@ def render_proposition(p: Proposition) -> str:
     numeric-index predicates are renderable in transcripts.
     """
     sign = "" if p.polarity else "~"
-    if not p.predicate.is_name:
-        if p.object.kind == "number":
-            return f"{sign}#{p.predicate.value}({p.object.number})"
-        if p.object.kind == "all":
-            return f"{sign}#{p.predicate.value}(*)"
-        from .wire import body_bytes
-
-        return f"{sign}#{p.predicate.value}(<{body_bytes(p.object.frame).hex()}>)"
+    name = p.predicate.value if p.predicate.is_name else f"#{p.predicate.value}"
     if p.object.kind == "number":
         obj = str(p.object.number)
     elif p.object.kind == "all":
@@ -164,7 +157,7 @@ def render_proposition(p: Proposition) -> str:
         from .wire import body_bytes
 
         obj = "<" + body_bytes(p.object.frame).hex() + ">"
-    return f"{sign}{p.predicate.value}({obj})"
+    return f"{sign}{name}({obj})"
 
 
 def parse_proposition(text: str) -> Proposition:

@@ -25,7 +25,7 @@ from .channel import (
 )
 from .diagonal import build_enumeration, find_fixed_point
 from .model import Proposition, World, holds, render_proposition
-from .wire import frame_to_wire, wire_to_frames
+from .wire import frame_to_wire, receive
 
 log = logging.getLogger(__name__)
 
@@ -87,13 +87,11 @@ def truth_from_channel(c: Channel, w: World) -> TruthPredicate:
     def evaluate(code: bytes) -> Optional[bool]:
         n = c.uses
         c.uses += 1
-        received = c.ts.apply(code, n)
-        frames, diags = wire_to_frames(received)
-        if len(frames) != 1 or diags:
+        props, diags = receive(c.ts.apply(code, n))
+        if len(props) != 1 or diags:
             return None
         try:
-            p = decode_frame(frames[0])
-            return holds(w, p)
+            return holds(w, props[0])
         except ValueError:
             return None
 

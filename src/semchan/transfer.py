@@ -14,7 +14,7 @@ from typing import Optional
 
 from .codec import Frame, decode_frame
 from .channel import Channel, Transcript, transmit
-from .model import Proposition, equivalent
+from .model import Proposition
 
 TRANSFERABLE = "Transferable"
 NON_TRANSFERABLE = "NonTransferable"
@@ -39,18 +39,15 @@ class Verdict:
 def check_transferable(c: Channel, p: Proposition) -> Verdict:
     """Run one transmit and compare: Transferable iff the received
     proposition is equivalent to the sent one."""
-    outcome = transmit(c, p)
-    if outcome.ok and equivalent(outcome.proposition, p):
-        return Verdict(TRANSFERABLE, outcome.transcript)
-    notes = () if outcome.error is None else (outcome.error,)
-    return Verdict(NON_TRANSFERABLE, outcome.transcript, notes)
+    t = transmit(c, p)
+    if t.transferred:
+        return Verdict(TRANSFERABLE, t)
+    return Verdict(NON_TRANSFERABLE, t, () if t.error is None else (t.error,))
 
 
 def eval_NT(c: Channel, f: Frame) -> bool:
     """True iff the frame's proposition fails its round trip over c."""
-    p = decode_frame(f)
-    outcome = transmit(c, p)
-    return not (outcome.ok and equivalent(outcome.proposition, p))
+    return not transmit(c, decode_frame(f)).transferred
 
 
 def eval_Tr(c: Channel, f: Frame) -> bool:

@@ -15,14 +15,18 @@ BODY grammar:
     POL    1 byte   0x00 or 0x01
     PTAG   1 byte   0x00 predicate name bytes / 0x01 numeric index
     PLEN   1 byte   length of PBYTES
-    PBYTES
+    PBYTES          name bytes, or a minimal big-endian nonzero index
     OTAG   1 byte   0x00 number / 0x01 nested body / 0x02 all-objects
     OLEN   2 bytes  big-endian length of OBYTES (0 for all-objects)
     OBYTES          minimal big-endian nonzero number, or a nested BODY
 
-The streaming parser scans for SYNC, validates VER/LEN/CRC and the BODY
-grammar, and resumes at the byte after a failed SYNC; every failure is a
-diagnostic event, never an exception.
+``receive`` is the one receive path: it scans for SYNC, validates
+VER/LEN/CRC and the BODY grammar, and decodes each frame to a
+proposition.  Every failure is a diagnostic event, never an exception.
+A frame whose framing or BODY fails resumes the scan at the byte after
+its SYNC; a frame whose framing and BODY hold but whose fields name no
+valid proposition ("undecodable") resumes at the frame's end.  Every
+proposition returned re-encodes to exactly the bytes it was scanned from.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from __future__ import annotations
 import binascii
 from dataclasses import dataclass
 
-from .codec import Frame, _min_be_bytes
-from .model import MAX_NESTING_DEPTH
+from .codec import Frame, FrameDecodeError, _min_be_bytes, decode_frame, encode_frame
+from .model import MAX_NESTING_DEPTH, Proposition
 
 SYNC = b"\xa5\x5a"
 VERSION = 0x01
@@ -108,6 +112,8 @@ def parse_body(data: bytes, offset: int = 0, depth: int = 0):
         raise BodyError("truncated predicate field")
     pbytes = data[pos:pos + plen]
     pos += plen
+    if ptag == PTAG_INDEX and (plen == 0 or pbytes[0] == 0):
+        raise BodyError("empty or non-minimal predicate index")
     if len(data) - pos < 3:
         raise BodyError("truncated object header")
     otag = data[pos]
@@ -152,22 +158,25 @@ def frame_to_wire(f: Frame) -> bytes:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One parse event: kind is 'garbage', 'crc', 'body', 'version' or
-    'truncated'; offset is into the scanned stream."""
+    """One receive event: kind is 'garbage', 'crc', 'body', 'version',
+    'truncated' or 'undecodable'; offset is into the scanned stream (the
+    SYNC of the frame, or the first unframed byte)."""
 
     kind: str
     offset: int
     detail: str
 
 
-def wire_to_frames(stream: bytes):
-    """Scan arbitrary bytes for wire frames.
+def receive(stream: bytes) -> tuple[list[Proposition], list[Diagnostic]]:
+    """Scan arbitrary bytes for wire frames and decode them.
 
-    Returns (frames, diagnostics).  Garbage between frames is reported
-    with offsets; CRC or grammar failures resume scanning at the byte
-    after the failed SYNC.
+    Returns (propositions, diagnostics); never raises.  Garbage between
+    frames is reported with offsets; truncation, CRC, version or grammar
+    failures resume scanning at the byte after the failed SYNC, and a
+    CRC-valid frame that does not decode is an 'undecodable' diagnostic
+    that resumes at the frame's end.
     """
-    frames: list[Frame] = []
+    props: list[Proposition] = []
     diags: list[Diagnostic] = []
     pos = 0
     garbage_start = None
@@ -221,13 +230,21 @@ def wire_to_frames(stream: bytes):
             frame, used = parse_body(body)
             if used != length:
                 raise BodyError("trailing bytes in BODY")
+            props.append(decode_frame(frame))
         except BodyError as e:
             diags.append(Diagnostic("body", idx, str(e)))
             pos = idx + 1
             continue
-        frames.append(frame)
+        except FrameDecodeError as e:
+            diags.append(Diagnostic("undecodable", idx, str(e)))
         pos = end
-    return frames, diags
+    return props, diags
+
+
+def wire_to_frames(stream: bytes) -> tuple[list[Frame], list[Diagnostic]]:
+    """``receive``, with each proposition as its frame."""
+    props, diags = receive(stream)
+    return [encode_frame(p) for p in props], diags
 
 
 def hex_dump(f: Frame) -> str:

@@ -32,15 +32,15 @@ ON112 = parse_proposition("ON(112)")
 def test_perfect_transmit_identity():
     c = make_channel({"kind": "perfect"})
     out = transmit(c, ON112)
-    assert out.ok and equivalent(out.proposition, ON112)
-    assert out.transcript.sent_bits == out.transcript.recv_bits
+    assert out.ok and equivalent(out.recv_proposition, ON112)
+    assert out.sent_bits == out.recv_bits
 
 
 def test_perfect_transmit_identity_bulk():
     c = make_channel({"kind": "perfect"})
     for p in corpus(seed=606, count=10_000):
         out = transmit(c, p)
-        assert out.ok and equivalent(out.proposition, p)
+        assert out.ok and equivalent(out.recv_proposition, p)
 
 
 def test_default_channel_is_perfect():
@@ -52,25 +52,25 @@ def test_bitflip_deterministic_per_counter():
     b = make_channel({"kind": "bitflip", "p": 0.5, "seed": 42})
     out_a = transmit(a, ON112)
     out_b = transmit(b, ON112)
-    assert out_a.transcript.recv_bits == out_b.transcript.recv_bits
+    assert out_a.recv_bits == out_b.recv_bits
     # second use differs in counter, so usually in output
     out_a2 = transmit(a, ON112)
-    assert out_a2.transcript.n == 1
+    assert out_a2.n == 1
 
 
 def test_bitflip_p0_equals_perfect():
     flip = make_channel({"kind": "bitflip", "p": 0.0, "seed": 9})
     perf = make_channel({"kind": "perfect"})
     for p in corpus(seed=707, count=50):
-        ta = transmit(flip, p).transcript
-        tb = transmit(perf, p).transcript
+        ta = transmit(flip, p)
+        tb = transmit(perf, p)
         assert ta.recv_bits == tb.recv_bits == ta.sent_bits
 
 
 def test_bitflip_p1_inverts_every_bit():
     c = make_channel({"kind": "bitflip", "p": 1.0, "seed": 1})
     out = transmit(c, ON112)
-    sent, recv = out.transcript.sent_bits, out.transcript.recv_bits
+    sent, recv = out.sent_bits, out.recv_bits
     assert all(s != r for s, r in zip(sent, recv))
     assert not out.ok  # sync word destroyed
 
@@ -86,14 +86,14 @@ def test_truncate_zero_drops_everything():
     c = make_channel({"kind": "truncate", "max_bits": 0})
     out = transmit(c, ON112)
     assert not out.ok
-    assert out.transcript.recv_bits == ""
+    assert out.recv_bits == ""
 
 
 def test_truncate_long_enough_passes():
     wire_len = len(frame_to_wire(encode_frame(ON112))) * 8
     c = make_channel({"kind": "truncate", "max_bits": wire_len})
     out = transmit(c, ON112)
-    assert out.ok and equivalent(out.proposition, ON112)
+    assert out.ok and equivalent(out.recv_proposition, ON112)
 
 
 def test_substitute_bijection_roundtrip_fails_decode_but_is_injective():
@@ -166,8 +166,8 @@ def test_transcript_jsonl_fields(tmp_path):
     c = make_channel({"kind": "perfect"})
     out = transmit(c, ON112)
     path = tmp_path / "t.jsonl"
-    append_transcript(str(path), out.transcript)
-    append_transcript(str(path), out.transcript)
+    append_transcript(str(path), out)
+    append_transcript(str(path), out)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
     rec = json.loads(lines[0])
@@ -187,7 +187,7 @@ def test_replay_determinism_full_transcripts():
         runs = []
         for _ in range(2):
             c = make_channel(cfg)
-            runs.append([transmit(c, p).transcript.to_json() for p in props])
+            runs.append([transmit(c, p).to_json() for p in props])
         assert runs[0] == runs[1]
 
 
@@ -217,7 +217,7 @@ def test_bitflip_golden_recv_bytes(p, seed):
     got = []
     for prop in GOLDEN_PROPS:
         c = make_channel({"kind": "bitflip", "p": p, "seed": seed})
-        got.append(tuple(transmit(c, prop).transcript.recv_bytes.hex()
+        got.append(tuple(transmit(c, prop).recv_bytes.hex()
                          for _ in range(4)))
     assert got == GOLDEN_BITFLIP[(p, seed)]
 
@@ -274,6 +274,6 @@ def test_transcript_json_digest_pinned():
     for cfg in TRANSCRIPT_CFGS:
         c = make_channel(cfg)
         for p in props:
-            h.update(json.dumps(transmit(c, p).transcript.to_json()).encode())
+            h.update(json.dumps(transmit(c, p).to_json()).encode())
     assert h.hexdigest() == (
         "8c4bd1b3946b2830ba29dbd4c9865f66ec5b0f46545621a91a61bdfcc20bd7db")

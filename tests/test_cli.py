@@ -87,6 +87,32 @@ def test_decode_garbage_exit_2(capsys):
     assert code == 2
 
 
+ON112_HEX = "a55a0100090100024f4e000001701537"
+# ON(112) with name bytes ff fe: CRC-valid, undecodable
+BAD_NAME_HEX = "a55a010009010002fffe00000170c0a5"
+
+
+def test_decode_keeps_valid_frame_beside_undecodable(capsys):
+    code, out, _ = run_cli(capsys, "decode", BAD_NAME_HEX + ON112_HEX)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "ON(112)"
+    assert lines[1].startswith("undecodable@0: ")
+
+
+@pytest.mark.parametrize("stream, offset", [
+    (BAD_NAME_HEX + ON112_HEX, 0),
+    (ON112_HEX + BAD_NAME_HEX, 16),
+])
+def test_receiver_reports_undecodable_frame_by_offset(stream, offset):
+    from semchan.cli import handle_stream
+
+    lines, code = handle_stream(bytes.fromhex(stream))
+    assert code == 1
+    assert lines[0] == "ON(112)"
+    assert lines[1].startswith(f"frame {offset}: undecodable (bad predicate name")
+
+
 def test_transmit_perfect_exit_0(capsys, perfect_cfg, tmp_path):
     transcript = tmp_path / "t.jsonl"
     code, out, _ = run_cli(capsys, "transmit", "ON(112)",
@@ -111,6 +137,32 @@ def test_check_json(capsys, perfect_cfg):
     doc = json.loads(out)
     assert doc["verdict"] == "Transferable"
     assert doc["sent"] == doc["recv"] == "ON(112)"
+
+
+def test_check_prints_received_and_verdict(capsys, bitflip_cfg):
+    code, out, _ = run_cli(capsys, "check", "ON(112)", "--channel", bitflip_cfg)
+    assert code == 1
+    assert out == "received: None\nverdict: NonTransferable\n"
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"kind": "truncate"}, "'max_bits'"),
+    ({"kind": "truncate", "max_bits": "many"}, "'max_bits'"),
+    ({"kind": "truncate", "max_bits": 7.9}, "'max_bits'"),
+    ({"kind": "bitflip", "seed": "abc"}, "'seed'"),
+    ({"kind": "bitflip", "seed": 2.5}, "'seed'"),
+    ({"kind": "bitflip", "p": "high"}, "'p'"),
+    ({"kind": "substitute", "map": {"x": 1}}, "'map'"),
+    ({"kind": "substitute", "map": [1]}, "'map'"),
+    ([{"kind": "perfect"}], "JSON object"),
+])
+def test_bad_channel_config_field_exit_2(capsys, tmp_path, config, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "check", "ON(112)", "--channel", str(path))
+    assert code == 2
+    assert out == ""
+    assert field in err
 
 
 def test_non_integer_seed_env_exit_2(capsys, monkeypatch, bitflip_cfg):

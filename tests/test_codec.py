@@ -81,6 +81,12 @@ def test_decode_rejects_zero_number():
         decode_frame(f)
 
 
+def test_decode_rejects_number_above_2_64():
+    f = Frame(True, "name", b"P", "number", 2**64)
+    with pytest.raises(FrameDecodeError):
+        decode_frame(f)
+
+
 def test_decode_rejects_bad_name_bytes():
     f = Frame(True, "name", b"\xff\xfe", "number", 3)
     with pytest.raises(FrameDecodeError):

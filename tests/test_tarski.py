@@ -85,6 +85,18 @@ def test_undecodable_code_maps_to_false_with_note():
     assert T.notes
 
 
+def test_crc_valid_undecodable_code_maps_to_false_with_note():
+    from semchan.wire import SYNC, crc16
+
+    body = b"\x01\x00\x02\xff\xfe\x00\x00\x01\x01"  # name bytes ff fe
+    header = b"\x01" + len(body).to_bytes(2, "big")
+    code = SYNC + header + body + crc16(header + body).to_bytes(2, "big")
+    T = truth_from_channel(make_channel({}), World.build({1}, {(P, 1, True)}))
+    assert T(code) is False
+    assert T.notes == [f"code {code.hex()} undecodable or not world-evaluable; "
+                       "mapped to False"]
+
+
 def test_builtin_code_maps_to_false_with_note():
     w = World.build({1}, {(P, 1, True)})
     T = truth_from_channel(make_channel({}), w)

@@ -1,9 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from semchan import crc16, encode_frame, frame_to_wire, parse_proposition, wire_to_frames
+from semchan import (
+    crc16,
+    decode_frame,
+    encode_frame,
+    frame_to_wire,
+    parse_proposition,
+    receive,
+    wire_to_frames,
+)
 from semchan.wire import SYNC, body_bytes, parse_body
 
 from genprops import corpus
@@ -177,3 +185,76 @@ def test_hex_dump_annotates_fields():
     assert "VER   01" in dump
     assert "BODY  01 00 02 4f 4e 00 00 01 70" in dump
     assert dump.count("\n") == 4
+
+
+def wrap(body: bytes) -> bytes:
+    """A CRC-valid version-1 wire frame around arbitrary BODY bytes."""
+    header = b"\x01" + len(body).to_bytes(2, "big")
+    return SYNC + header + body + crc16(header + body).to_bytes(2, "big")
+
+
+ON112_WIRE = frame_to_wire(encode_frame(parse_proposition("ON(112)")))
+# ON(112) with name bytes ff fe: framing, CRC and BODY hold, decode fails
+BAD_NAME_WIRE = wrap(b"\x01\x00\x02\xff\xfe\x00\x00\x01\x70")
+
+
+def padded_number(max_bits):
+    """Big-endian bytes of a number in 0..2**max_bits, after 0-2 zero bytes."""
+    return st.builds(
+        lambda pad, n: bytes(pad) + n.to_bytes((n.bit_length() + 7) // 8, "big"),
+        st.integers(0, 2), st.integers(0, 2**max_bits))
+
+
+def tlv_body(children):
+    """Well-shaped TLV bodies with random fields, nesting children."""
+    names = st.one_of(st.binary(max_size=6),
+                      st.text("AZaz09-", max_size=6).map(str.encode))
+    predicate = st.one_of(st.tuples(st.just(0x00), names),
+                          st.tuples(st.just(0x01), padded_number(40)))
+    number = st.tuples(st.just(0x00), padded_number(72))
+    return st.builds(
+        lambda pol, pred, obj: (bytes([pol, pred[0], len(pred[1])]) + pred[1]
+                                + bytes([obj[0]]) + len(obj[1]).to_bytes(2, "big")
+                                + obj[1]),
+        st.sampled_from([0x00, 0x01]), predicate,
+        st.one_of(number, st.just((0x02, b"")), children))
+
+
+TLV_BODIES = st.recursive(
+    tlv_body(st.nothing()),
+    lambda inner: tlv_body(inner.map(lambda b: (0x01, b))),
+    max_leaves=4)
+
+
+@given(st.lists(st.one_of(st.binary(max_size=24), st.just(SYNC),
+                          st.binary(max_size=24).map(wrap), TLV_BODIES.map(wrap)),
+                max_size=6).map(b"".join))
+def test_receive_never_raises(stream):
+    props, diags = receive(stream)
+    assert all(d.offset < len(stream) for d in diags)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(max_size=40), TLV_BODIES))
+def test_received_propositions_reencode_to_scanned_bytes(body):
+    wire = wrap(body)
+    props, diags = receive(wire)
+    if props:
+        assert [frame_to_wire(encode_frame(p)) for p in props] == [wire]
+        assert diags == []
+    for f in wire_to_frames(wire)[0]:
+        decode_frame(f)
+
+
+def test_undecodable_frame_resumes_at_frame_end():
+    props, diags = receive(BAD_NAME_WIRE + ON112_WIRE)
+    assert props == [parse_proposition("ON(112)")]
+    assert [(d.kind, d.offset) for d in diags] == [("undecodable", 0)]
+
+
+def test_non_minimal_predicate_index_is_body_diagnostic():
+    minimal = wrap(b"\x01\x01\x01\x05\x00\x00\x01\x03")
+    assert receive(minimal)[0] == [parse_proposition("#5(3)")]
+    props, diags = receive(wrap(b"\x01\x01\x02\x00\x05\x00\x00\x01\x03"))
+    assert props == []
+    assert diags[0].kind == "body" and diags[0].offset == 0
