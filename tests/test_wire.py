@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semchan import (
     crc16,
@@ -12,7 +12,22 @@ from semchan import (
     receive,
     wire_to_frames,
 )
-from semchan.wire import SYNC, body_bytes, parse_body
+from semchan.codec import Frame, FrameDecodeError
+from semchan.wire import (
+    MAX_BODY_LEN,
+    OTAG_ALL,
+    OTAG_NESTED,
+    OTAG_NUMBER,
+    PTAG_INDEX,
+    PTAG_NAME,
+    SYNC,
+    VERSION,
+    BodyError,
+    Diagnostic,
+    WireSizeError,
+    body_bytes,
+    parse_body,
+)
 
 from genprops import corpus
 
@@ -226,9 +241,12 @@ TLV_BODIES = st.recursive(
     max_leaves=4)
 
 
-@given(st.lists(st.one_of(st.binary(max_size=24), st.just(SYNC),
-                          st.binary(max_size=24).map(wrap), TLV_BODIES.map(wrap)),
-                max_size=6).map(b"".join))
+STREAMS = st.lists(st.one_of(st.binary(max_size=24), st.just(SYNC),
+                            st.binary(max_size=24).map(wrap), TLV_BODIES.map(wrap)),
+                  max_size=6).map(b"".join)
+
+
+@given(STREAMS)
 def test_receive_never_raises(stream):
     props, diags = receive(stream)
     assert all(d.offset < len(stream) for d in diags)
@@ -258,3 +276,268 @@ def test_non_minimal_predicate_index_is_body_diagnostic():
     props, diags = receive(wrap(b"\x01\x01\x02\x00\x05\x00\x00\x01\x03"))
     assert props == []
     assert diags[0].kind == "body" and diags[0].offset == 0
+
+
+# Reference codec: body_bytes, frame_to_wire, parse_body and receive as
+# they were before their inner loops were tightened.  The properties below
+# require the codec to match them byte for byte, diagnostic for diagnostic
+# and message for message.
+
+def reference_min_be_bytes(n: int) -> bytes:
+    return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
+
+
+def reference_body_bytes(f: Frame, depth: int = 0) -> bytes:
+    if depth > 8:
+        raise WireSizeError("nesting depth exceeded")
+    out = bytearray()
+    out.append(0x01 if f.polarity else 0x00)
+    out.append(PTAG_NAME if f.predicate_tag == "name" else PTAG_INDEX)
+    if len(f.predicate_bytes) > 255:
+        raise WireSizeError("predicate field too long")
+    out.append(len(f.predicate_bytes))
+    out += f.predicate_bytes
+    if f.object_tag == "number":
+        obytes = reference_min_be_bytes(f.object_number)
+        out.append(OTAG_NUMBER)
+        out += len(obytes).to_bytes(2, "big")
+        out += obytes
+    elif f.object_tag == "all":
+        out.append(OTAG_ALL)
+        out += (0).to_bytes(2, "big")
+    else:
+        nested = reference_body_bytes(f.object_frame, depth + 1)
+        out.append(OTAG_NESTED)
+        out += len(nested).to_bytes(2, "big")
+        out += nested
+    if len(out) > MAX_BODY_LEN:
+        raise WireSizeError("BODY exceeds 65535 bytes")
+    return bytes(out)
+
+
+def reference_frame_to_wire(f: Frame) -> bytes:
+    body = reference_body_bytes(f)
+    header = bytes([VERSION]) + len(body).to_bytes(2, "big")
+    crc = crc16(header + body)
+    return SYNC + header + body + crc.to_bytes(2, "big")
+
+
+def reference_parse_body(data: bytes, offset: int = 0, depth: int = 0):
+    if depth > 8:
+        raise BodyError("nesting depth exceeded")
+    pos = offset
+    if len(data) - pos < 3:
+        raise BodyError("BODY shorter than fixed header")
+    pol = data[pos]
+    if pol not in (0x00, 0x01):
+        raise BodyError(f"bad POL byte 0x{pol:02x}")
+    ptag = data[pos + 1]
+    if ptag not in (PTAG_NAME, PTAG_INDEX):
+        raise BodyError(f"bad PTAG byte 0x{ptag:02x}")
+    plen = data[pos + 2]
+    pos += 3
+    if len(data) - pos < plen:
+        raise BodyError("truncated predicate field")
+    pbytes = data[pos:pos + plen]
+    pos += plen
+    if ptag == PTAG_INDEX and (plen == 0 or pbytes[0] == 0):
+        raise BodyError("empty or non-minimal predicate index")
+    if len(data) - pos < 3:
+        raise BodyError("truncated object header")
+    otag = data[pos]
+    olen = int.from_bytes(data[pos + 1:pos + 3], "big")
+    pos += 3
+    if len(data) - pos < olen:
+        raise BodyError("truncated object field")
+    obytes = data[pos:pos + olen]
+    pos += olen
+    ptag_name = "name" if ptag == PTAG_NAME else "index"
+    if otag == OTAG_NUMBER:
+        if olen == 0:
+            raise BodyError("empty number object")
+        if obytes[0] == 0:
+            raise BodyError("non-minimal number encoding")
+        n = int.from_bytes(obytes, "big")
+        if n == 0:
+            raise BodyError("zero number object")
+        frame = Frame(bool(pol), ptag_name, bytes(pbytes), "number", n)
+    elif otag == OTAG_ALL:
+        if olen != 0:
+            raise BodyError("all-objects marker with nonzero OLEN")
+        frame = Frame(bool(pol), ptag_name, bytes(pbytes), "all")
+    elif otag == OTAG_NESTED:
+        nested, used = reference_parse_body(obytes, 0, depth + 1)
+        if used != olen:
+            raise BodyError("trailing bytes after nested body")
+        frame = Frame(bool(pol), ptag_name, bytes(pbytes), "nested",
+                      object_frame=nested)
+    else:
+        raise BodyError(f"bad OTAG byte 0x{otag:02x}")
+    return frame, pos - offset
+
+
+def reference_receive(stream: bytes):
+    props = []
+    diags = []
+    pos = 0
+    garbage_start = None
+
+    def flush_garbage(upto: int):
+        nonlocal garbage_start
+        if garbage_start is not None:
+            diags.append(Diagnostic(
+                "garbage", garbage_start,
+                f"{upto - garbage_start} unframed bytes"))
+            garbage_start = None
+
+    n = len(stream)
+    while pos < n:
+        idx = stream.find(SYNC, pos)
+        if idx == -1:
+            if garbage_start is None:
+                garbage_start = pos
+            flush_garbage(n)
+            break
+        if idx > pos and garbage_start is None:
+            garbage_start = pos
+        flush_garbage(idx)
+        if n - idx < 7:
+            diags.append(Diagnostic("truncated", idx,
+                                    "incomplete frame header at end of stream"))
+            break
+        ver = stream[idx + 2]
+        length = int.from_bytes(stream[idx + 3:idx + 5], "big")
+        end = idx + 5 + length + 2
+        if end > n:
+            diags.append(Diagnostic("truncated", idx,
+                                    "frame extends past end of stream"))
+            pos = idx + 1
+            continue
+        body = stream[idx + 5:idx + 5 + length]
+        crc_got = int.from_bytes(stream[end - 2:end], "big")
+        crc_want = crc16(stream[idx + 2:idx + 5] + body)
+        if crc_got != crc_want:
+            diags.append(Diagnostic(
+                "crc", idx,
+                f"CRC mismatch: got 0x{crc_got:04X}, want 0x{crc_want:04X}"))
+            pos = idx + 1
+            continue
+        if ver != VERSION:
+            diags.append(Diagnostic("version", idx, f"bad version 0x{ver:02x}"))
+            pos = idx + 1
+            continue
+        try:
+            frame, used = reference_parse_body(body)
+            if used != length:
+                raise BodyError("trailing bytes in BODY")
+            props.append(decode_frame(frame))
+        except BodyError as e:
+            diags.append(Diagnostic("body", idx, str(e)))
+            pos = idx + 1
+            continue
+        except FrameDecodeError as e:
+            diags.append(Diagnostic("undecodable", idx, str(e)))
+        pos = end
+    return props, diags
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def frame_chain(layers, leaf):
+    """The frame nesting one layer in the next, innermost first."""
+    (pol, tag, pbytes), *outer = layers
+    f = Frame(pol, tag, pbytes, *leaf)
+    for pol, tag, pbytes in outer:
+        f = Frame(pol, tag, pbytes, "nested", object_frame=f)
+    return f
+
+
+def layers(field):
+    """1-11 (polarity, tag, field) layers, every depth about equally likely."""
+    return st.integers(1, 11).flatmap(lambda n: st.lists(field, min_size=n, max_size=n))
+
+
+# about one predicate field in ten is longer than 255 bytes
+PREDICATE_FIELDS = st.integers(0, 9).flatmap(lambda k: st.one_of(
+    st.text(max_size=8).map(str.encode),  # non-ASCII names included
+    st.binary(max_size=8)) if k else st.binary(min_size=250, max_size=300))
+FRAMES = st.builds(
+    frame_chain,
+    layers(st.tuples(st.booleans(), st.sampled_from(["name", "index"]),
+                     PREDICATE_FIELDS)),
+    st.one_of(st.tuples(st.just("number"), st.integers(0, 2**72)),
+              st.just(("all",))))
+
+
+@settings(max_examples=300)
+@given(FRAMES)
+def test_body_bytes_and_frame_to_wire_match_reference(f):
+    assert outcome(body_bytes, f) == outcome(reference_body_bytes, f)
+    assert outcome(frame_to_wire, f) == outcome(reference_frame_to_wire, f)
+
+
+@pytest.mark.parametrize("f", [
+    Frame(True, "name", b"P", "number", 2**(8 * 65530) - 1),  # BODY too long
+    Frame(True, "name", b"P", "number", 2**(8 * 65536)),  # OLEN overflows
+    Frame(False, "index", b"\x07", "nested",
+          object_frame=Frame(True, "name", b"Q", "number", 2**(8 * 65520) - 1)),
+], ids=["body-too-long", "olen-overflow", "nested-body-too-long"])
+def test_body_bytes_size_limits_match_reference(f):
+    assert outcome(body_bytes, f) == outcome(reference_body_bytes, f)
+    assert outcome(frame_to_wire, f) == outcome(reference_frame_to_wire, f)
+
+
+def chain_body(layers, leaf):
+    """BODY bytes nesting one layer in the next, innermost first; leaf is
+    the innermost (OTAG, OBYTES), and a layer's extra bytes trail the
+    object field it wraps."""
+    otag, obytes = leaf
+    for pol, ptag, pbytes, extra in layers:
+        obytes = (bytes([pol, ptag, len(pbytes)]) + pbytes + bytes([otag])
+                  + len(obytes).to_bytes(2, "big") + obytes)
+        otag = OTAG_NESTED
+        obytes += extra
+    return obytes
+
+
+CHAIN_BODIES = st.builds(
+    chain_body,
+    layers(st.builds(lambda pol, pred, extra: (pol, *pred, extra),
+                     st.sampled_from([0x00, 0x01]),
+                     st.one_of(st.tuples(st.just(PTAG_NAME), st.binary(max_size=4)),
+                               st.tuples(st.just(PTAG_INDEX), st.integers(1, 2**16).map(
+                                   lambda n: n.to_bytes((n.bit_length() + 7) // 8, "big")))),
+                     st.sampled_from([b"", b"", b"", b"", b"\x00"]))),
+    st.one_of(st.tuples(st.just(OTAG_NUMBER), padded_number(72)),
+              st.tuples(st.just(OTAG_ALL), st.binary(max_size=1)),
+              st.tuples(st.integers(0, 255), st.binary(max_size=3))))
+
+
+@settings(max_examples=400)
+@example(b"\x01\x00\x05PQ", 0, b"", b"", bytes)  # truncated predicate field
+@example(b"\x01\x02\x01P\x00\x00\x01\x05", 0, b"", b"", bytearray)  # bad PTAG
+@given(st.one_of(st.binary(max_size=40), TLV_BODIES, CHAIN_BODIES),
+       st.integers(0, 3), st.binary(max_size=3), st.binary(max_size=2),
+       st.sampled_from([bytes, bytearray]))
+def test_parse_body_matches_reference(body, cut, prefix, suffix, kind):
+    for data in (body, body[:len(body) - cut] + suffix):
+        data = kind(prefix + data)
+        assert (outcome(parse_body, data, len(prefix))
+                == outcome(reference_parse_body, data, len(prefix)))
+        assert outcome(parse_body, data) == outcome(reference_parse_body, data)
+
+
+@settings(max_examples=300)
+@given(STREAMS, st.integers(0, 8 * 200))
+def test_receive_matches_reference(stream, flip):
+    assert receive(stream) == reference_receive(stream)
+    if flip < 8 * len(stream):
+        flipped = bytearray(stream)
+        flipped[flip >> 3] ^= 0x80 >> (flip & 7)
+        assert receive(bytes(flipped)) == reference_receive(bytes(flipped))
