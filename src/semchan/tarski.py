@@ -24,7 +24,7 @@ from .channel import (
     verify_activeness,
 )
 from .diagonal import build_enumeration, find_fixed_point
-from .model import Proposition, World, holds, render_proposition
+from .model import ObjectRef, Proposition, World, holds, render_proposition
 from .wire import frame_to_wire, receive
 
 log = logging.getLogger(__name__)
@@ -40,14 +40,9 @@ class NotInvertibleError(ValueError):
 
 def ground_corpus(w: World) -> list[Proposition]:
     """Both polarities of every predicate/object pair of the world."""
-    from .model import ObjectRef
-
-    corpus = []
-    for pred in w.predicates():
-        for m in sorted(w.domain):
-            for pol in (True, False):
-                corpus.append(Proposition(pol, pred, ObjectRef.num(m)))
-    return corpus
+    objects = [ObjectRef.num(m) for m in sorted(w.domain)]
+    return [Proposition(pol, pred, obj)
+            for pred in w.predicates() for obj in objects for pol in (True, False)]
 
 
 class TruthPredicate:
@@ -76,8 +71,12 @@ class TruthPredicate:
 
 
 def truth_from_channel(c: Channel, w: World) -> TruthPredicate:
-    """T(n) := evaluate the proposition decoded from TS(n) against w."""
-    probe = ground_corpus(w)
+    """T(n) := evaluate the proposition decoded from TS(n) against w.
+
+    Only a system that is not analytically injective is sampled, over the
+    world's ground corpus; an analytic one needs no probe.
+    """
+    probe = [] if c.ts.analytic_injective is True else ground_corpus(w)
     if probe:
         report = verify_activeness(c.ts, probe)
         if not report.injective:
@@ -179,10 +178,10 @@ def verify_bridge(c: Channel, w: World,
         code = frame_to_wire(encode_frame(p))
         t_val = truth(code)
         h_val = holds(w, p)
-        ok = t_val == h_val
-        if not ok:
-            failures.append(render_proposition(p))
-        rows.append(BridgeRow(render_proposition(p), code.hex(), t_val, h_val, ok))
+        text = render_proposition(p)
+        if t_val != h_val:
+            failures.append(text)
+        rows.append(BridgeRow(text, code.hex(), t_val, h_val, t_val == h_val))
 
     preds = w.predicates() or sorted(
         {p.predicate for p in corpus if not p.predicate.is_builtin}, key=str)

@@ -68,92 +68,76 @@ def body_bytes(f: Frame, depth: int = 0) -> bytes:
     """Serialize a frame's BODY per the grammar; deterministic."""
     if depth > MAX_NESTING_DEPTH:
         raise WireSizeError("nesting depth exceeded")
-    out = bytearray()
-    out.append(0x01 if f.polarity else 0x00)
-    out.append(PTAG_NAME if f.predicate_tag == "name" else PTAG_INDEX)
-    if len(f.predicate_bytes) > 255:
+    pbytes = f.predicate_bytes
+    if len(pbytes) > 255:
         raise WireSizeError("predicate field too long")
-    out.append(len(f.predicate_bytes))
-    out += f.predicate_bytes
     if f.object_tag == "number":
-        obytes = _min_be_bytes(f.object_number)
-        out.append(OTAG_NUMBER)
-        out += len(obytes).to_bytes(2, "big")
-        out += obytes
+        otag, obytes = OTAG_NUMBER, _min_be_bytes(f.object_number)
     elif f.object_tag == "all":
-        out.append(OTAG_ALL)
-        out += (0).to_bytes(2, "big")
+        otag, obytes = OTAG_ALL, b""
     else:
-        nested = body_bytes(f.object_frame, depth + 1)
-        out.append(OTAG_NESTED)
-        out += len(nested).to_bytes(2, "big")
-        out += nested
+        otag, obytes = OTAG_NESTED, body_bytes(f.object_frame, depth + 1)
+    out = (bytes((1 if f.polarity else 0,
+                  PTAG_NAME if f.predicate_tag == "name" else PTAG_INDEX,
+                  len(pbytes)))
+           + pbytes + bytes((otag,)) + len(obytes).to_bytes(2, "big") + obytes)
     if len(out) > MAX_BODY_LEN:
         raise WireSizeError("BODY exceeds 65535 bytes")
-    return bytes(out)
+    return out
 
 
 def parse_body(data: bytes, offset: int = 0, depth: int = 0):
     """Parse one BODY starting at offset; returns (Frame, bytes consumed)."""
     if depth > MAX_NESTING_DEPTH:
         raise BodyError("nesting depth exceeded")
-    pos = offset
-    if len(data) - pos < 3:
+    size = len(data)
+    if size - offset < 3:
         raise BodyError("BODY shorter than fixed header")
-    pol = data[pos]
-    if pol not in (0x00, 0x01):
+    pol, ptag, plen = data[offset:offset + 3]
+    if pol > 0x01:
         raise BodyError(f"bad POL byte 0x{pol:02x}")
-    ptag = data[pos + 1]
-    if ptag not in (PTAG_NAME, PTAG_INDEX):
+    if ptag > 0x01:
         raise BodyError(f"bad PTAG byte 0x{ptag:02x}")
-    plen = data[pos + 2]
-    pos += 3
-    if len(data) - pos < plen:
+    pend = offset + 3 + plen
+    if pend > size:
         raise BodyError("truncated predicate field")
-    pbytes = data[pos:pos + plen]
-    pos += plen
+    pbytes = bytes(data[offset + 3:pend])
     if ptag == PTAG_INDEX and (plen == 0 or pbytes[0] == 0):
         raise BodyError("empty or non-minimal predicate index")
-    if len(data) - pos < 3:
+    if size - pend < 3:
         raise BodyError("truncated object header")
-    otag = data[pos]
-    olen = int.from_bytes(data[pos + 1:pos + 3], "big")
-    pos += 3
-    if len(data) - pos < olen:
+    otag = data[pend]
+    olen = data[pend + 1] << 8 | data[pend + 2]
+    end = pend + 3 + olen
+    if end > size:
         raise BodyError("truncated object field")
-    obytes = data[pos:pos + olen]
-    pos += olen
     ptag_name = "name" if ptag == PTAG_NAME else "index"
     if otag == OTAG_NUMBER:
         if olen == 0:
             raise BodyError("empty number object")
-        if obytes[0] == 0:
+        if data[pend + 3] == 0:
             raise BodyError("non-minimal number encoding")
-        n = int.from_bytes(obytes, "big")
-        if n == 0:
-            raise BodyError("zero number object")
-        frame = Frame(bool(pol), ptag_name, bytes(pbytes), "number", n)
+        frame = Frame(bool(pol), ptag_name, pbytes, "number",
+                      int.from_bytes(data[pend + 3:end], "big"))
     elif otag == OTAG_ALL:
         if olen != 0:
             raise BodyError("all-objects marker with nonzero OLEN")
-        frame = Frame(bool(pol), ptag_name, bytes(pbytes), "all")
+        frame = Frame(bool(pol), ptag_name, pbytes, "all")
     elif otag == OTAG_NESTED:
-        nested, used = parse_body(obytes, 0, depth + 1)
+        nested, used = parse_body(data[pend + 3:end], 0, depth + 1)
         if used != olen:
             raise BodyError("trailing bytes after nested body")
-        frame = Frame(bool(pol), ptag_name, bytes(pbytes), "nested",
-                      object_frame=nested)
+        frame = Frame(bool(pol), ptag_name, pbytes, "nested", object_frame=nested)
     else:
         raise BodyError(f"bad OTAG byte 0x{otag:02x}")
-    return frame, pos - offset
+    return frame, end - offset
 
 
 def frame_to_wire(f: Frame) -> bytes:
     """Full wire frame: SYNC + VER + LEN + BODY + CRC."""
     body = body_bytes(f)
-    header = bytes([VERSION]) + len(body).to_bytes(2, "big")
-    crc = crc16(header + body)
-    return SYNC + header + body + crc.to_bytes(2, "big")
+    framed = (VERSION << 16 | len(body)).to_bytes(3, "big") + body
+    return SYNC + framed + crc16(framed).to_bytes(2, "big")
 
 
 @dataclass(frozen=True)
@@ -179,55 +163,40 @@ def receive(stream: bytes) -> tuple[list[Proposition], list[Diagnostic]]:
     props: list[Proposition] = []
     diags: list[Diagnostic] = []
     pos = 0
-    garbage_start = None
-
-    def flush_garbage(upto: int):
-        nonlocal garbage_start
-        if garbage_start is not None:
-            diags.append(Diagnostic(
-                "garbage", garbage_start,
-                f"{upto - garbage_start} unframed bytes"))
-            garbage_start = None
-
     n = len(stream)
     while pos < n:
         idx = stream.find(SYNC, pos)
         if idx == -1:
-            if garbage_start is None:
-                garbage_start = pos
-            flush_garbage(n)
+            diags.append(Diagnostic("garbage", pos, f"{n - pos} unframed bytes"))
             break
-        if idx > pos and garbage_start is None:
-            garbage_start = pos
-        flush_garbage(idx)
-        # idx points at a SYNC candidate
+        if idx > pos:
+            diags.append(Diagnostic("garbage", pos, f"{idx - pos} unframed bytes"))
         if n - idx < 7:
             diags.append(Diagnostic("truncated", idx,
                                     "incomplete frame header at end of stream"))
             break
-        ver = stream[idx + 2]
-        length = int.from_bytes(stream[idx + 3:idx + 5], "big")
-        end = idx + 5 + length + 2
+        length = stream[idx + 3] << 8 | stream[idx + 4]
+        end = idx + 7 + length
         if end > n:
             diags.append(Diagnostic("truncated", idx,
                                     "frame extends past end of stream"))
             pos = idx + 1
             continue
-        body = stream[idx + 5:idx + 5 + length]
-        crc_got = int.from_bytes(stream[end - 2:end], "big")
-        crc_want = crc16(stream[idx + 2:idx + 5] + body)
+        crc_got = stream[end - 2] << 8 | stream[end - 1]
+        crc_want = crc16(stream[idx + 2:end - 2])
         if crc_got != crc_want:
             diags.append(Diagnostic(
                 "crc", idx,
                 f"CRC mismatch: got 0x{crc_got:04X}, want 0x{crc_want:04X}"))
             pos = idx + 1
             continue
+        ver = stream[idx + 2]
         if ver != VERSION:
             diags.append(Diagnostic("version", idx, f"bad version 0x{ver:02x}"))
             pos = idx + 1
             continue
         try:
-            frame, used = parse_body(body)
+            frame, used = parse_body(stream[idx + 5:end - 2])
             if used != length:
                 raise BodyError("trailing bytes in BODY")
             props.append(decode_frame(frame))

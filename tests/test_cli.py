@@ -113,6 +113,19 @@ def test_receiver_reports_undecodable_frame_by_offset(stream, offset):
     assert lines[1].startswith(f"frame {offset}: undecodable (bad predicate name")
 
 
+def test_receiver_analysis_of_undecodable_nested_frame_is_status_1():
+    from semchan.cli import handle_stream
+
+    # NT(<010002fffe00000170>): the nested frame's name bytes are ff fe
+    nt_bad = "a55a0100110100024e54010009010002fffe000001705ad8"
+    lines, code = handle_stream(bytes.fromhex(nt_bad + ON112_HEX), analyze=True)
+    assert code == 1
+    assert lines[0] == "NT(<010002fffe00000170>)"
+    assert lines[1].startswith(
+        "analysis: nested frame does not decode: bad predicate name bytes")
+    assert lines[2:] == ["ON(112)"]
+
+
 def test_transmit_perfect_exit_0(capsys, perfect_cfg, tmp_path):
     transcript = tmp_path / "t.jsonl"
     code, out, _ = run_cli(capsys, "transmit", "ON(112)",

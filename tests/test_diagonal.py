@@ -147,6 +147,19 @@ def test_error_paradox_on_perfect_channel():
     assert all(s.contradiction for s in report.case_trace)
 
 
+@pytest.mark.parametrize("name", ["NT", "Tr", "Err"])
+def test_undecodable_nested_frame_is_value_error_before_transmit(name):
+    from semchan.codec import Frame
+
+    bad = Frame(True, "name", b"\xff\xfe", "number", 112)
+    f = Frame(True, "name", name.encode(), "nested", object_frame=bad)
+    c = make_channel({"kind": "perfect"})
+    with pytest.raises(ValueError, match="^nested frame does not decode: "
+                                         "bad predicate name bytes"):
+        analyze_self_reference(c, f)
+    assert c.uses == 0
+
+
 def test_dropping_channel_yields_non_transferable_not_paradox():
     c = make_channel({"kind": "truncate", "max_bits": 0})
     report = analyze_self_reference(c, build_NT_all())

@@ -117,6 +117,46 @@ def test_truth_requires_active_channel():
         truth_from_channel(c, w)
 
 
+class ProbeBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "perfect"},
+    {"kind": "substitute", "map": {"1": 2, "2": 1}},
+    {"kind": "bitflip", "p": 0.0, "seed": 3},
+])
+def test_analytic_channel_builds_no_probe(monkeypatch, config):
+    def no_probe(w):
+        raise ProbeBuilt
+
+    monkeypatch.setattr("semchan.tarski.ground_corpus", no_probe)
+    w = World.build({1, 2}, {(P, 1, True)})
+    c = make_channel(config)
+    T = truth_from_channel(c, w)
+    # the substitute swaps the version byte 0x01 away, so nothing arrives
+    assert T(wire_code(parse_proposition("P(1)"))) is (config["kind"] != "substitute")
+
+
+def test_sampled_channel_builds_the_probe(monkeypatch):
+    def no_probe(w):
+        raise ProbeBuilt
+
+    monkeypatch.setattr("semchan.tarski.ground_corpus", no_probe)
+    with pytest.raises(ProbeBuilt):
+        truth_from_channel(make_channel({"kind": "truncate", "max_bits": 512}),
+                           World.build({1, 2}, {(P, 1, True)}))
+
+
+def test_ground_corpus_matches_triple_loop():
+    for w in small_worlds():
+        expected = [Proposition(pol, pred, ObjectRef.num(m))
+                    for pred in w.predicates()
+                    for m in sorted(w.domain)
+                    for pol in (True, False)]
+        assert ground_corpus(w) == expected
+
+
 def test_decoder_from_truth_perfect_identity():
     w = World.build({1, 2}, {(P, 1, True), (P, 2, False)})
     c = make_channel({"kind": "perfect"})
