@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from semchan import (
     ObjectRef,
@@ -12,7 +15,7 @@ from semchan import (
 )
 from semchan.codec import Frame, FrameDecodeError
 
-from genprops import corpus
+from genprops import corpus, gen_proposition
 
 FIG4_BITS = "1" + "0100111101001110" + "1110000"
 
@@ -97,3 +100,139 @@ def test_all_marker_decodes_to_all():
     f = encode_frame(parse_proposition("NT(*)"))
     p = decode_frame(f)
     assert p.object.kind == "all"
+
+
+# Reference codec: encode_frame and decode_frame as they were before the
+# field-tuple split.  The properties below require the codec to match them:
+# equal results, or the same exception type and message.
+
+def reference_min_be_bytes(n: int) -> bytes:
+    return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
+
+
+def reference_encode_frame(p: Proposition) -> Frame:
+    if p.predicate.is_name:
+        ptag, pbytes = "name", p.predicate.value.encode("ascii")
+    else:
+        ptag, pbytes = "index", reference_min_be_bytes(p.predicate.value)
+    if p.object.kind == "number":
+        return Frame(p.polarity, ptag, pbytes, "number", p.object.number)
+    if p.object.kind == "all":
+        return Frame(p.polarity, ptag, pbytes, "all")
+    return Frame(p.polarity, ptag, pbytes, "nested",
+                 object_frame=p.object.frame)
+
+
+def reference_decode_frame(f: Frame) -> Proposition:
+    if f.predicate_tag == "name":
+        try:
+            pred = PredicateCode(f.predicate_bytes.decode("ascii"))
+        except (UnicodeDecodeError, ValueError) as e:
+            raise FrameDecodeError(f"bad predicate name bytes: {e}") from e
+    elif f.predicate_tag == "index":
+        idx = int.from_bytes(f.predicate_bytes, "big")
+        if idx < 1:
+            raise FrameDecodeError("zero predicate index")
+        pred = PredicateCode(idx)
+    else:
+        raise FrameDecodeError(f"bad predicate tag: {f.predicate_tag!r}")
+    if f.object_tag == "number":
+        if not 1 <= f.object_number <= 2**64 - 1:
+            raise FrameDecodeError(
+                f"number object out of range 1..2^64-1: {f.object_number}")
+        obj = ObjectRef.num(f.object_number)
+    elif f.object_tag == "all":
+        obj = ObjectRef.all_objects()
+    elif f.object_tag == "nested":
+        if f.depth > 8:
+            raise FrameDecodeError("nesting depth exceeded")
+        obj = ObjectRef.nested(f.object_frame)
+    else:
+        raise FrameDecodeError(f"bad object tag: {f.object_tag!r}")
+    return Proposition(f.polarity, pred, obj)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def minimal_bytes(n: int) -> bytes:
+    return n.to_bytes((n.bit_length() + 7) // 8, "big")
+
+
+NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-"
+
+# name bytes valid, too long, non-ASCII or empty; index bytes zero,
+# zero-padded or over 255 bytes
+PREDICATE_BYTES = st.one_of(
+    st.text(NAME_CHARS, min_size=1, max_size=70).map(str.encode),
+    st.text(max_size=6).map(str.encode),
+    st.binary(max_size=6),
+    st.integers(0, 2**72).map(minimal_bytes),
+    st.integers(2**2040, 2**2400).map(minimal_bytes),
+)
+
+
+def frame_chain(layers, leaf):
+    """The frame nesting one layer in the next, innermost first."""
+    (pol, tag, pbytes), *outer = layers
+    f = Frame(pol, tag, pbytes, *leaf)
+    for pol, tag, pbytes in outer:
+        f = Frame(pol, tag, pbytes, "nested", object_frame=f)
+    return f
+
+
+LAYERS = st.tuples(st.booleans(), st.sampled_from(["name", "index"] * 3 + ["bad"]),
+                   PREDICATE_BYTES)
+LEAVES = st.tuples(st.sampled_from(["number"] * 4 + ["all", "bad"]),
+                   st.one_of(st.integers(0, 2**64), st.integers(0, 2**72)))
+# well-typed frames: bad tags, zero or huge numbers, nesting depth 0-10,
+# about half of them unnested
+FRAMES = st.builds(
+    frame_chain,
+    st.one_of(LAYERS.map(lambda layer: [layer]),
+              st.integers(2, 11).flatmap(
+                  lambda n: st.lists(LAYERS, min_size=n, max_size=n))),
+    LEAVES)
+
+PREDICATES = st.one_of(
+    st.builds(PredicateCode, st.text(NAME_CHARS, min_size=1, max_size=64)),
+    st.builds(PredicateCode, st.integers(1, 2**72)),
+    st.builds(PredicateCode, st.integers(2**2040, 2**2400)),
+)
+OBJECTS = st.one_of(
+    st.builds(ObjectRef.num, st.integers(1, 2**64 - 1)),
+    st.just(ObjectRef.all_objects()),
+    FRAMES.filter(lambda f: f.depth < 8).map(ObjectRef.nested),
+)
+# genprops-style propositions, and ones with any well-typed nested frame
+PROPOSITIONS = st.one_of(
+    st.integers(0, 2**32).map(lambda s: gen_proposition(random.Random(s))),
+    st.builds(Proposition, st.booleans(), PREDICATES, OBJECTS),
+)
+
+
+@settings(max_examples=300)
+@given(PROPOSITIONS)
+def test_encode_frame_matches_reference(p):
+    assert outcome(encode_frame, p) == outcome(reference_encode_frame, p)
+
+
+@settings(max_examples=400)
+@example(Frame(True, "name", b"P", "bad"))
+@example(Frame(True, "index", b"\x05", "number", 2**64))
+@example(Frame(False, "name", b"P", "number", 0))
+@given(st.one_of(FRAMES, PROPOSITIONS.map(reference_encode_frame)))
+def test_decode_frame_matches_reference(f):
+    assert outcome(decode_frame, f) == outcome(reference_decode_frame, f)
+
+
+def test_codec_matches_reference_on_corpus():
+    for p in corpus(seed=606, count=2_000):
+        f = encode_frame(p)
+        assert f == reference_encode_frame(p)
+        assert decode_frame(f) == reference_decode_frame(f)
