@@ -16,9 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .codec import encode_frame
 from .model import Proposition, equivalent, render_proposition
-from .wire import frame_to_wire, receive
+from .wire import encode, receive
 
 
 class ChannelConfigError(ValueError):
@@ -262,7 +261,7 @@ def transmit(c: Channel, p: Proposition) -> Transcript:
     """
     n = c.uses
     c.uses += 1
-    sent_bytes = frame_to_wire(encode_frame(p))
+    sent_bytes = encode(p)
     recv_bytes = c.ts.apply(sent_bytes, n)
     props, diags = receive(recv_bytes)
     recv_prop: Optional[Proposition] = None
@@ -307,7 +306,7 @@ def verify_activeness(ts: TransmissionSystem,
         return ActivenessReport(injective=True, analytic=True)
     seen: dict[bytes, Proposition] = {}
     for p in corpus:
-        out = ts.apply(frame_to_wire(encode_frame(p)), 0)
+        out = ts.apply(encode(p), 0)
         if out in seen and seen[out] != p:
             return ActivenessReport(
                 injective=False,

@@ -28,7 +28,6 @@ from .diagonal import (
 )
 from .model import (
     PredicateCode,
-    Proposition,
     PropositionSyntaxError,
     load_world,
     parse_proposition,
@@ -36,7 +35,7 @@ from .model import (
 )
 from .tarski import ground_corpus, verify_bridge
 from .transfer import TRANSFERABLE, check_transferable
-from .wire import frame_to_wire, receive
+from .wire import encode, receive
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -53,11 +52,10 @@ def _emit(args, doc: dict, text: str) -> None:
 
 def cmd_encode(args) -> int:
     p = parse_proposition(args.text)
-    frame = encode_frame(p)
     if args.format == "bits":
-        out = payload_bits(frame)
+        out = payload_bits(encode_frame(p))
     else:
-        out = frame_to_wire(frame).hex()
+        out = encode(p).hex()
     _emit(args, {"proposition": render_proposition(p),
                  "format": args.format, "encoded": out}, out)
     return EXIT_OK
@@ -216,7 +214,7 @@ def cmd_serve(args) -> int:
 def cmd_send(args) -> int:
     payload = bytearray()
     for text in args.texts:
-        payload += frame_to_wire(encode_frame(parse_proposition(text)))
+        payload += encode(parse_proposition(text))
     if args.flip_bit is not None:
         # impairment proxy: flip one bit of the outgoing stream
         if not 0 <= args.flip_bit < len(payload) * 8:

@@ -63,49 +63,57 @@ class Frame:
         return (pol, self.predicate_bytes.hex().upper(), obj)
 
 
+def frame_fields(p: Proposition) -> tuple:
+    """encode_frame's fields, in Frame's order."""
+    pred, obj = p.predicate.value, p.object
+    if isinstance(pred, str):
+        ptag, pbytes = "name", pred.encode("ascii")
+    else:
+        ptag, pbytes = "index", _min_be_bytes(pred)
+    if obj.kind == "nested":
+        return p.polarity, ptag, pbytes, "nested", 0, obj.frame
+    return p.polarity, ptag, pbytes, obj.kind, obj.number, None
+
+
 def encode_frame(p: Proposition) -> Frame:
     """Encode a proposition as a frame; total on valid propositions."""
-    if p.predicate.is_name:
-        ptag, pbytes = "name", p.predicate.value.encode("ascii")
+    return Frame(*frame_fields(p))
+
+
+def decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
+    """decode_frame of a frame given as its fields, in Frame's order."""
+    if ptag == "name":
+        try:
+            pred = PredicateCode(pbytes.decode("ascii"))
+        except (UnicodeDecodeError, ValueError) as e:
+            raise FrameDecodeError(f"bad predicate name bytes: {e}") from e
+    elif ptag == "index":
+        idx = int.from_bytes(pbytes, "big")
+        if idx < 1:
+            raise FrameDecodeError("zero predicate index")
+        pred = PredicateCode(idx)
     else:
-        ptag, pbytes = "index", _min_be_bytes(p.predicate.value)
-    if p.object.kind == "number":
-        return Frame(p.polarity, ptag, pbytes, "number", p.object.number)
-    if p.object.kind == "all":
-        return Frame(p.polarity, ptag, pbytes, "all")
-    return Frame(p.polarity, ptag, pbytes, "nested",
-                 object_frame=p.object.frame)
+        raise FrameDecodeError(f"bad predicate tag: {ptag!r}")
+    if kind == "number":
+        if not 1 <= number <= MAX_OBJECT_NUMBER:
+            raise FrameDecodeError(f"number object out of range 1..2^64-1: {number}")
+        obj = ObjectRef.num(number)
+    elif kind == "all":
+        obj = ObjectRef.all_objects()
+    elif kind == "nested":
+        if nested.depth >= MAX_NESTING_DEPTH:
+            raise FrameDecodeError("nesting depth exceeded")
+        obj = ObjectRef.nested(nested)
+    else:
+        raise FrameDecodeError(f"bad object tag: {kind!r}")
+    return Proposition(pol, pred, obj)
 
 
 def decode_frame(f: Frame) -> Proposition:
     """Exact inverse of encode_frame on the valid domain; raises
     FrameDecodeError for every well-typed frame outside it."""
-    if f.predicate_tag == "name":
-        try:
-            pred = PredicateCode(f.predicate_bytes.decode("ascii"))
-        except (UnicodeDecodeError, ValueError) as e:
-            raise FrameDecodeError(f"bad predicate name bytes: {e}") from e
-    elif f.predicate_tag == "index":
-        idx = int.from_bytes(f.predicate_bytes, "big")
-        if idx < 1:
-            raise FrameDecodeError("zero predicate index")
-        pred = PredicateCode(idx)
-    else:
-        raise FrameDecodeError(f"bad predicate tag: {f.predicate_tag!r}")
-    if f.object_tag == "number":
-        if not 1 <= f.object_number <= MAX_OBJECT_NUMBER:
-            raise FrameDecodeError(
-                f"number object out of range 1..2^64-1: {f.object_number}")
-        obj = ObjectRef.num(f.object_number)
-    elif f.object_tag == "all":
-        obj = ObjectRef.all_objects()
-    elif f.object_tag == "nested":
-        if f.depth > MAX_NESTING_DEPTH:
-            raise FrameDecodeError("nesting depth exceeded")
-        obj = ObjectRef.nested(f.object_frame)
-    else:
-        raise FrameDecodeError(f"bad object tag: {f.object_tag!r}")
-    return Proposition(f.polarity, pred, obj)
+    return decode_fields(f.polarity, f.predicate_tag, f.predicate_bytes,
+                         f.object_tag, f.object_number, f.object_frame)
 
 
 def payload_bits(f: Frame) -> str:

@@ -10,7 +10,7 @@ signed literals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, FrozenSet, Iterable, Tuple
 
 if TYPE_CHECKING:
@@ -104,15 +104,15 @@ class ObjectRef:
 
     @staticmethod
     def num(m: int) -> "ObjectRef":
-        return ObjectRef(kind="number", number=m)
+        return ObjectRef("number", m)
 
     @staticmethod
     def all_objects() -> "ObjectRef":
-        return ObjectRef(kind="all")
+        return ObjectRef("all")
 
     @staticmethod
     def nested(frame: "Frame") -> "ObjectRef":
-        return ObjectRef(kind="nested", frame=frame)
+        return ObjectRef("nested", 0, frame)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .codec import decode_frame, encode_frame
+from .codec import decode_frame
 from .channel import (
     Channel,
     PerfectTS,
@@ -25,7 +25,7 @@ from .channel import (
 )
 from .diagonal import build_enumeration, find_fixed_point
 from .model import ObjectRef, Proposition, World, holds, render_proposition
-from .wire import frame_to_wire, receive
+from .wire import encode, frame_to_wire, receive
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +175,7 @@ def verify_bridge(c: Channel, w: World,
     rows: list[BridgeRow] = []
     failures: list[str] = []
     for p in corpus:
-        code = frame_to_wire(encode_frame(p))
+        code = encode(p)
         t_val = truth(code)
         h_val = holds(w, p)
         text = render_proposition(p)

@@ -20,7 +20,8 @@ BODY grammar:
     OLEN   2 bytes  big-endian length of OBYTES (0 for all-objects)
     OBYTES          minimal big-endian nonzero number, or a nested BODY
 
-``receive`` is the one receive path: it scans for SYNC, validates
+``encode`` is the one send path: it serializes a proposition to its wire
+frame.  ``receive`` is the one receive path: it scans for SYNC, validates
 VER/LEN/CRC and the BODY grammar, and decodes each frame to a
 proposition.  Every failure is a diagnostic event, never an exception.
 A frame whose framing or BODY fails resumes the scan at the byte after
@@ -34,7 +35,8 @@ from __future__ import annotations
 import binascii
 from dataclasses import dataclass
 
-from .codec import Frame, FrameDecodeError, _min_be_bytes, decode_frame, encode_frame
+from .codec import (Frame, FrameDecodeError, _min_be_bytes, decode_fields,
+                    encode_frame, frame_fields)
 from .model import MAX_NESTING_DEPTH, Proposition
 
 SYNC = b"\xa5\x5a"
@@ -64,21 +66,19 @@ class WireSizeError(ValueError):
     """Raised when a frame exceeds wire size limits."""
 
 
-def body_bytes(f: Frame, depth: int = 0) -> bytes:
-    """Serialize a frame's BODY per the grammar; deterministic."""
+def fields_body(pol, ptag, pbytes, kind, number, nested, depth: int = 0) -> bytes:
+    """body_bytes of a frame given as its fields, in Frame's order."""
     if depth > MAX_NESTING_DEPTH:
         raise WireSizeError("nesting depth exceeded")
-    pbytes = f.predicate_bytes
     if len(pbytes) > 255:
         raise WireSizeError("predicate field too long")
-    if f.object_tag == "number":
-        otag, obytes = OTAG_NUMBER, _min_be_bytes(f.object_number)
-    elif f.object_tag == "all":
+    if kind == "number":
+        otag, obytes = OTAG_NUMBER, _min_be_bytes(number)
+    elif kind == "all":
         otag, obytes = OTAG_ALL, b""
     else:
-        otag, obytes = OTAG_NESTED, body_bytes(f.object_frame, depth + 1)
-    out = (bytes((1 if f.polarity else 0,
-                  PTAG_NAME if f.predicate_tag == "name" else PTAG_INDEX,
+        otag, obytes = OTAG_NESTED, body_bytes(nested, depth + 1)
+    out = (bytes((1 if pol else 0, PTAG_NAME if ptag == "name" else PTAG_INDEX,
                   len(pbytes)))
            + pbytes + bytes((otag,)) + len(obytes).to_bytes(2, "big") + obytes)
     if len(out) > MAX_BODY_LEN:
@@ -86,8 +86,14 @@ def body_bytes(f: Frame, depth: int = 0) -> bytes:
     return out
 
 
-def parse_body(data: bytes, offset: int = 0, depth: int = 0):
-    """Parse one BODY starting at offset; returns (Frame, bytes consumed)."""
+def body_bytes(f: Frame, depth: int = 0) -> bytes:
+    """Serialize a frame's BODY per the grammar; deterministic."""
+    return fields_body(f.polarity, f.predicate_tag, f.predicate_bytes,
+                       f.object_tag, f.object_number, f.object_frame, depth)
+
+
+def body_fields(data: bytes, offset: int = 0, depth: int = 0):
+    """parse_body, with the frame's fields, in Frame's order, for the Frame."""
     if depth > MAX_NESTING_DEPTH:
         raise BodyError("nesting depth exceeded")
     size = len(data)
@@ -117,27 +123,40 @@ def parse_body(data: bytes, offset: int = 0, depth: int = 0):
             raise BodyError("empty number object")
         if data[pend + 3] == 0:
             raise BodyError("non-minimal number encoding")
-        frame = Frame(bool(pol), ptag_name, pbytes, "number",
-                      int.from_bytes(data[pend + 3:end], "big"))
+        obj = "number", int.from_bytes(data[pend + 3:end], "big"), None
     elif otag == OTAG_ALL:
         if olen != 0:
             raise BodyError("all-objects marker with nonzero OLEN")
-        frame = Frame(bool(pol), ptag_name, pbytes, "all")
+        obj = "all", 0, None
     elif otag == OTAG_NESTED:
         nested, used = parse_body(data[pend + 3:end], 0, depth + 1)
         if used != olen:
             raise BodyError("trailing bytes after nested body")
-        frame = Frame(bool(pol), ptag_name, pbytes, "nested", object_frame=nested)
+        obj = "nested", 0, nested
     else:
         raise BodyError(f"bad OTAG byte 0x{otag:02x}")
-    return frame, end - offset
+    return (bool(pol), ptag_name, pbytes, *obj), end - offset
+
+
+def parse_body(data: bytes, offset: int = 0, depth: int = 0):
+    """Parse one BODY starting at offset; returns (Frame, bytes consumed)."""
+    fields, used = body_fields(data, offset, depth)
+    return Frame(*fields), used
+
+
+def _framed(body: bytes) -> bytes:
+    framed = (VERSION << 16 | len(body)).to_bytes(3, "big") + body
+    return SYNC + framed + crc16(framed).to_bytes(2, "big")
 
 
 def frame_to_wire(f: Frame) -> bytes:
     """Full wire frame: SYNC + VER + LEN + BODY + CRC."""
-    body = body_bytes(f)
-    framed = (VERSION << 16 | len(body)).to_bytes(3, "big") + body
-    return SYNC + framed + crc16(framed).to_bytes(2, "big")
+    return _framed(body_bytes(f))
+
+
+def encode(p: Proposition) -> bytes:
+    """frame_to_wire(encode_frame(p)), without building the Frame."""
+    return _framed(fields_body(*frame_fields(p)))
 
 
 @dataclass(frozen=True)
@@ -196,10 +215,10 @@ def receive(stream: bytes) -> tuple[list[Proposition], list[Diagnostic]]:
             pos = idx + 1
             continue
         try:
-            frame, used = parse_body(stream[idx + 5:end - 2])
+            fields, used = body_fields(stream[idx + 5:end - 2])
             if used != length:
                 raise BodyError("trailing bytes in BODY")
-            props.append(decode_frame(frame))
+            props.append(decode_fields(*fields))
         except BodyError as e:
             diags.append(Diagnostic("body", idx, str(e)))
             pos = idx + 1
@@ -218,7 +237,6 @@ def wire_to_frames(stream: bytes) -> tuple[list[Frame], list[Diagnostic]]:
 
 def hex_dump(f: Frame) -> str:
     """Annotated hex of a wire frame, one field per line."""
-    body = body_bytes(f)
     wire = frame_to_wire(f)
 
     def group(data: bytes) -> str:
@@ -228,6 +246,6 @@ def hex_dump(f: Frame) -> str:
         f"SYNC  {group(wire[:2])}",
         f"VER   {group(wire[2:3])}",
         f"LEN   {group(wire[3:5])}",
-        f"BODY  {group(body)}",
+        f"BODY  {group(wire[5:-2])}",
         f"CRC   {group(wire[-2:])}",
     ])

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semchan import (
+    ObjectRef,
+    PredicateCode,
+    Proposition,
     crc16,
     decode_frame,
     encode_frame,
@@ -26,10 +29,12 @@ from semchan.wire import (
     Diagnostic,
     WireSizeError,
     body_bytes,
+    encode,
     parse_body,
 )
 
 from genprops import corpus
+from test_codec import PROPOSITIONS, reference_encode_frame
 
 
 def crc16_oracle(data: bytes) -> int:
@@ -541,3 +546,13 @@ def test_receive_matches_reference(stream, flip):
         flipped = bytearray(stream)
         flipped[flip >> 3] ^= 0x80 >> (flip & 7)
         assert receive(bytes(flipped)) == reference_receive(bytes(flipped))
+
+
+@settings(max_examples=300)
+@example(Proposition(True, PredicateCode(2**2040 - 1), ObjectRef.num(1)))  # 255 bytes
+@example(Proposition(True, PredicateCode(2**2040), ObjectRef.num(1)))  # 256 bytes
+@given(PROPOSITIONS)
+def test_encode_matches_frame_to_wire_of_encode_frame(p):
+    expected = outcome(reference_frame_to_wire, reference_encode_frame(p))
+    assert outcome(encode, p) == expected
+    assert outcome(lambda: frame_to_wire(encode_frame(p))) == expected
