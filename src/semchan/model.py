@@ -164,7 +164,7 @@ def parse_proposition(text: str) -> Proposition:
     """Parse the text grammar back into a structured atom.
 
     ``~`` sets polarity false, ``*`` is the all-objects marker, and
-    ``<hex>`` is a nested frame given as the hex of its wire body.
+    ``<hex>`` is a nested frame given as the hex of a wire body that decodes.
     A literal ``0`` object is rejected: all-objects must be written ``*``.
     """
     s = text.strip()
@@ -196,6 +196,7 @@ def parse_proposition(text: str) -> Proposition:
     if inner == "*":
         obj = ObjectRef.all_objects()
     elif inner.startswith("<") and inner.endswith(">"):
+        from .codec import FrameDecodeError, decode_frame
         from .wire import parse_body
 
         try:
@@ -205,6 +206,11 @@ def parse_proposition(text: str) -> Proposition:
         frame, consumed = parse_body(raw)
         if consumed != len(raw):
             raise PropositionSyntaxError("trailing bytes in nested frame", pos)
+        try:
+            decode_frame(frame)
+        except FrameDecodeError as e:
+            raise PropositionSyntaxError(
+                f"nested frame does not decode: {e}", pos) from None
         obj = ObjectRef.nested(frame)
     elif inner.isdigit():
         n = int(inner)

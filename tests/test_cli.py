@@ -126,6 +126,17 @@ def test_receiver_analysis_of_undecodable_nested_frame_is_status_1():
     assert lines[2:] == ["ON(112)"]
 
 
+@pytest.mark.parametrize("command", ["check", "encode"])
+def test_undecodable_nested_frame_text_is_usage_error(capsys, perfect_cfg, command):
+    argv = [command, "NT(<010002fffe00000170>)"]
+    if command == "check":
+        argv += ["--channel", perfect_cfg]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "nested frame does not decode: bad predicate name bytes" in err
+
+
 def test_transmit_perfect_exit_0(capsys, perfect_cfg, tmp_path):
     transcript = tmp_path / "t.jsonl"
     code, out, _ = run_cli(capsys, "transmit", "ON(112)",

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +67,17 @@ def test_parse_rejects_literal_zero():
 def test_parse_syntax_errors(bad):
     with pytest.raises(PropositionSyntaxError):
         parse_proposition(bad)
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("010002fffe00000170", "bad predicate name bytes"),
+    ("010041" + "41" * 65 + "00000170", "bad predicate name bytes"),
+    ("0100015000000901" + "00" * 8, "number object out of range 1..2^64-1"),
+], ids=["non-ascii-name", "name-too-long", "number-above-2-64"])
+def test_parse_rejects_nested_frame_that_does_not_decode(body, reason):
+    with pytest.raises(PropositionSyntaxError,
+                       match="^" + re.escape(f"nested frame does not decode: {reason}")):
+        parse_proposition(f"NT(<{body}>)")
 
 
 @given(ground_props)
