@@ -556,3 +556,11 @@ def test_encode_matches_frame_to_wire_of_encode_frame(p):
     expected = outcome(reference_frame_to_wire, reference_encode_frame(p))
     assert outcome(encode, p) == expected
     assert outcome(lambda: frame_to_wire(encode_frame(p))) == expected
+
+
+def test_body_bytes_checks_depth_before_predicate_length():
+    # the innermost of ten layers sits at depth 9 with a 300-byte predicate
+    f = frame_chain([(True, "name", b"P" * 300)] + [(True, "name", b"P")] * 9,
+                    ("number", 1))
+    assert (outcome(body_bytes, f) == outcome(reference_body_bytes, f)
+            == (WireSizeError, "nesting depth exceeded"))
