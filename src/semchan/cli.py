@@ -160,13 +160,8 @@ def handle_stream(data: bytes, analyze: bool = False,
         else:
             lines.append(text)
         if analyze and p.predicate.is_builtin and p.object.kind != "number":
-            try:
-                report = analyze_self_reference(make_channel({}), encode_frame(p))
-            except ValueError as e:
-                lines.append(f"analysis: {e}")
-                code = EXIT_NEGATIVE
-            else:
-                lines.extend(_paradox_text(report).splitlines())
+            report = analyze_self_reference(make_channel({}), encode_frame(p))
+            lines.extend(_paradox_text(report).splitlines())
     for d in diags:
         if d.kind == "undecodable":
             lines.append(f"frame {d.offset}: undecodable ({d.detail})")

@@ -64,20 +64,19 @@ class Frame:
 
 
 def frame_fields(p: Proposition) -> tuple:
-    """encode_frame's fields, in Frame's order."""
+    """encode_frame's fields, in Frame's order, nesting a Proposition."""
     pred, obj = p.predicate.value, p.object
     if isinstance(pred, str):
         ptag, pbytes = "name", pred.encode("ascii")
     else:
         ptag, pbytes = "index", _min_be_bytes(pred)
-    if obj.kind == "nested":
-        return p.polarity, ptag, pbytes, "nested", 0, obj.frame
-    return p.polarity, ptag, pbytes, obj.kind, obj.number, None
+    return p.polarity, ptag, pbytes, obj.kind, obj.number, obj.inner
 
 
 def encode_frame(p: Proposition) -> Frame:
     """Encode a proposition as a frame; total on valid propositions."""
-    return Frame(*frame_fields(p))
+    *fields, inner = frame_fields(p)
+    return Frame(*fields, None if inner is None else encode_frame(inner))
 
 
 def decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
@@ -101,9 +100,7 @@ def decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
     elif kind == "all":
         obj = ObjectRef.all_objects()
     elif kind == "nested":
-        if nested.depth >= MAX_NESTING_DEPTH:
-            raise FrameDecodeError("nesting depth exceeded")
-        obj = ObjectRef.nested(nested)
+        obj = nested_object(nested)
     else:
         raise FrameDecodeError(f"bad object tag: {kind!r}")
     return Proposition(pol, pred, obj)
@@ -114,6 +111,18 @@ def decode_frame(f: Frame) -> Proposition:
     FrameDecodeError for every well-typed frame outside it."""
     return decode_fields(f.polarity, f.predicate_tag, f.predicate_bytes,
                          f.object_tag, f.object_number, f.object_frame)
+
+
+def nested_object(f: Frame) -> ObjectRef:
+    """ObjectRef.nested: the object naming f's proposition.  The one place
+    a nested frame is decoded; raises FrameDecodeError if f does not decode."""
+    if f.depth >= MAX_NESTING_DEPTH:
+        raise FrameDecodeError("nesting depth exceeded")
+    try:
+        inner = decode_frame(f)
+    except FrameDecodeError as e:
+        raise FrameDecodeError(f"nested frame does not decode: {e}") from None
+    return ObjectRef("nested", 0, inner)
 
 
 def payload_bits(f: Frame) -> str:

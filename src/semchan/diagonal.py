@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .codec import Frame, FrameDecodeError, decode_frame, encode_frame
+from .codec import Frame, decode_frame, encode_frame
 from .channel import Channel, transmit
 from .model import ObjectRef, PredicateCode, Proposition
 from .transfer import (
@@ -196,20 +196,15 @@ def analyze_self_reference(c: Channel, f: Frame) -> ParadoxReport:
     Branch (i) assumes the received content is true and derives the
     claim's own instance; branch (ii) assumes the frame was not
     transferred.  Each branch is compared against the observed round
-    trip; if both contradict, the verdict is Paradoxical.  A nested
-    frame that does not decode is a ValueError raised before the channel
-    is used.
+    trip; if both contradict, the verdict is Paradoxical.  A frame that
+    does not decode, nested frames included, is a FrameDecodeError (a
+    ValueError) raised before the channel is used.
     """
     p = decode_frame(f)
     if not p.predicate.is_builtin:
         raise ValueError(f"not a builtin self-referential frame: {p.predicate}")
     if p.object.kind == "number":
         raise ValueError("self-reference analysis needs object '*' or a nested frame")
-    if p.object.kind == "nested":
-        try:
-            nested = decode_frame(f.object_frame)
-        except FrameDecodeError as e:
-            raise ValueError(f"nested frame does not decode: {e}") from None
 
     transcript = transmit(c, p)
     fidelity = transcript.transferred
@@ -237,7 +232,7 @@ def analyze_self_reference(c: Channel, f: Frame) -> ParadoxReport:
             if p.object.kind == "all":
                 t = transcript
             else:
-                t = transmit(c, nested)
+                t = transmit(c, p.object.inner)
             observed = t.sent_bytes != t.recv_bytes
         claim = f"{name} holds of {self_desc}" if asserted \
             else f"{name} fails of {self_desc}"

@@ -2,9 +2,9 @@
 
 A proposition is a signed 1-ary atom: a polarity, a predicate code and an
 object reference.  The object can be a concrete object number, the
-all-objects marker (written ``*`` in the text grammar) or a nested frame.
-A world is a finite domain of object numbers plus a consistent set of
-signed literals.
+all-objects marker (written ``*`` in the text grammar) or a nested
+proposition, which is valid like any other.  A world is a finite domain
+of object numbers plus a consistent set of signed literals.
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ class PredicateCode:
 
 @dataclass(frozen=True)
 class ObjectRef:
-    """Object position of an atom: a number, all-objects, or a nested frame."""
+    """Object of an atom: a number, all-objects, or a nested proposition."""
 
     kind: str  # "number" | "all" | "nested"
     number: int = 0
-    frame: "Frame | None" = None
+    inner: "Proposition | None" = None
 
     def __post_init__(self):
         if self.kind == "number":
@@ -85,22 +85,32 @@ class ObjectRef:
                 raise ValueError(
                     f"object number out of range 1..2^64-1: {self.number}"
                 )
-            if self.frame is not None:
-                raise ValueError("number object cannot carry a frame")
+            if self.inner is not None:
+                raise ValueError("number object cannot nest a proposition")
         elif self.kind == "all":
-            if self.number or self.frame is not None:
+            if self.number or self.inner is not None:
                 raise ValueError("all-objects marker carries no payload")
         elif self.kind == "nested":
-            from .codec import Frame
-
-            if not isinstance(self.frame, Frame):
-                raise TypeError("nested object requires a Frame")
-            if self.frame.depth + 1 > MAX_NESTING_DEPTH:
+            if not isinstance(self.inner, Proposition):
+                raise TypeError("nested object requires a Proposition")
+            if self.depth > MAX_NESTING_DEPTH:
                 raise ValueError(
                     f"nesting depth exceeds {MAX_NESTING_DEPTH}"
                 )
         else:
             raise ValueError(f"unknown object kind: {self.kind!r}")
+
+    @property
+    def depth(self) -> int:
+        """0 unless nested, else one more than the inner object's depth."""
+        return 1 + self.inner.object.depth if self.kind == "nested" else 0
+
+    @property
+    def frame(self) -> "Frame | None":
+        """The nested proposition's frame, or None for other kinds."""
+        from .codec import encode_frame
+
+        return None if self.inner is None else encode_frame(self.inner)
 
     @staticmethod
     def num(m: int) -> "ObjectRef":
@@ -112,7 +122,10 @@ class ObjectRef:
 
     @staticmethod
     def nested(frame: "Frame") -> "ObjectRef":
-        return ObjectRef("nested", 0, frame)
+        """The object naming a frame's proposition; raises FrameDecodeError."""
+        from .codec import nested_object
+
+        return nested_object(frame)
 
 
 @dataclass(frozen=True)
@@ -135,8 +148,8 @@ def negate(p: Proposition) -> Proposition:
 def equivalent(p: Proposition, q: Proposition) -> bool:
     """Logical equivalence of atoms, read structurally.
 
-    Nested frames compare field-wise; the all-objects atom is its own
-    atom and is never expanded into a conjunction here.
+    Nested objects compare by their propositions; the all-objects atom is
+    its own atom and is never expanded into a conjunction here.
     """
     return p == q
 
@@ -154,9 +167,9 @@ def render_proposition(p: Proposition) -> str:
     elif p.object.kind == "all":
         obj = "*"
     else:
-        from .wire import body_bytes
+        from .wire import fields_body, frame_fields
 
-        obj = "<" + body_bytes(p.object.frame).hex() + ">"
+        obj = "<" + fields_body(*frame_fields(p.object.inner)).hex() + ">"
     return f"{sign}{name}({obj})"
 
 
@@ -196,7 +209,7 @@ def parse_proposition(text: str) -> Proposition:
     if inner == "*":
         obj = ObjectRef.all_objects()
     elif inner.startswith("<") and inner.endswith(">"):
-        from .codec import FrameDecodeError, decode_frame
+        from .codec import FrameDecodeError
         from .wire import parse_body
 
         try:
@@ -207,11 +220,9 @@ def parse_proposition(text: str) -> Proposition:
         if consumed != len(raw):
             raise PropositionSyntaxError("trailing bytes in nested frame", pos)
         try:
-            decode_frame(frame)
+            obj = ObjectRef.nested(frame)
         except FrameDecodeError as e:
-            raise PropositionSyntaxError(
-                f"nested frame does not decode: {e}", pos) from None
-        obj = ObjectRef.nested(frame)
+            raise PropositionSyntaxError(str(e), pos) from None
     elif inner.isdigit():
         n = int(inner)
         if n == 0:

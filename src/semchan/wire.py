@@ -26,8 +26,9 @@ VER/LEN/CRC and the BODY grammar, and decodes each frame to a
 proposition.  Every failure is a diagnostic event, never an exception.
 A frame whose framing or BODY fails resumes the scan at the byte after
 its SYNC; a frame whose framing and BODY hold but whose fields name no
-valid proposition ("undecodable") resumes at the frame's end.  Every
-proposition returned re-encodes to exactly the bytes it was scanned from.
+valid proposition, in any nested BODY too ("undecodable"), resumes at the
+frame's end.  Every proposition returned re-encodes to exactly the bytes
+it was scanned from.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class WireSizeError(ValueError):
 
 
 def fields_body(pol, ptag, pbytes, kind, number, nested, depth: int = 0) -> bytes:
-    """body_bytes of a frame given as its fields, in Frame's order."""
+    """body_bytes of a frame given as its fields, or as frame_fields."""
     if depth > MAX_NESTING_DEPTH:
         raise WireSizeError("nesting depth exceeded")
     if len(pbytes) > 255:
@@ -76,8 +77,10 @@ def fields_body(pol, ptag, pbytes, kind, number, nested, depth: int = 0) -> byte
         otag, obytes = OTAG_NUMBER, _min_be_bytes(number)
     elif kind == "all":
         otag, obytes = OTAG_ALL, b""
-    else:
+    elif isinstance(nested, Frame):
         otag, obytes = OTAG_NESTED, body_bytes(nested, depth + 1)
+    else:
+        otag, obytes = OTAG_NESTED, fields_body(*frame_fields(nested), depth + 1)
     out = (bytes((1 if pol else 0, PTAG_NAME if ptag == "name" else PTAG_INDEX,
                   len(pbytes)))
            + pbytes + bytes((otag,)) + len(obytes).to_bytes(2, "big") + obytes)
@@ -234,18 +237,3 @@ def wire_to_frames(stream: bytes) -> tuple[list[Frame], list[Diagnostic]]:
     props, diags = receive(stream)
     return [encode_frame(p) for p in props], diags
 
-
-def hex_dump(f: Frame) -> str:
-    """Annotated hex of a wire frame, one field per line."""
-    wire = frame_to_wire(f)
-
-    def group(data: bytes) -> str:
-        return " ".join(f"{b:02x}" for b in data)
-
-    return "\n".join([
-        f"SYNC  {group(wire[:2])}",
-        f"VER   {group(wire[2:3])}",
-        f"LEN   {group(wire[3:5])}",
-        f"BODY  {group(wire[5:-2])}",
-        f"CRC   {group(wire[-2:])}",
-    ])

@@ -90,14 +90,23 @@ def test_decode_garbage_exit_2(capsys):
 ON112_HEX = "a55a0100090100024f4e000001701537"
 # ON(112) with name bytes ff fe: CRC-valid, undecodable
 BAD_NAME_HEX = "a55a010009010002fffe00000170c0a5"
+# NT(<010002fffe00000170>): CRC-valid, the nested frame's name bytes are ff fe
+BAD_NESTED_HEX = "a55a0100110100024e54010009010002fffe000001705ad8"
 
 
-def test_decode_keeps_valid_frame_beside_undecodable(capsys):
-    code, out, _ = run_cli(capsys, "decode", BAD_NAME_HEX + ON112_HEX)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "ON(112)"
-    assert lines[1].startswith("undecodable@0: ")
+@pytest.mark.parametrize("stream, code, lines", [
+    (BAD_NAME_HEX + ON112_HEX, 0, ["ON(112)", "undecodable@0: "]),
+    (BAD_NESTED_HEX, 2, ["undecodable@0: nested frame does not decode: "]),
+    (BAD_NESTED_HEX + ON112_HEX, 0,
+     ["ON(112)", "undecodable@0: nested frame does not decode: "]),
+], ids=["bad-name", "bad-nested-alone", "bad-nested-beside-valid"])
+def test_decode_keeps_valid_frame_beside_undecodable(capsys, stream, code, lines):
+    got, out, _ = run_cli(capsys, "decode", stream)
+    assert got == code
+    out_lines = out.splitlines()
+    assert len(out_lines) == len(lines)
+    for line, prefix in zip(out_lines, lines):
+        assert line.startswith(prefix)
 
 
 @pytest.mark.parametrize("stream, offset", [
@@ -116,14 +125,13 @@ def test_receiver_reports_undecodable_frame_by_offset(stream, offset):
 def test_receiver_analysis_of_undecodable_nested_frame_is_status_1():
     from semchan.cli import handle_stream
 
-    # NT(<010002fffe00000170>): the nested frame's name bytes are ff fe
-    nt_bad = "a55a0100110100024e54010009010002fffe000001705ad8"
-    lines, code = handle_stream(bytes.fromhex(nt_bad + ON112_HEX), analyze=True)
+    lines, code = handle_stream(bytes.fromhex(BAD_NESTED_HEX + ON112_HEX),
+                                analyze=True)
     assert code == 1
-    assert lines[0] == "NT(<010002fffe00000170>)"
+    assert lines[0] == "ON(112)"
     assert lines[1].startswith(
-        "analysis: nested frame does not decode: bad predicate name bytes")
-    assert lines[2:] == ["ON(112)"]
+        "frame 0: undecodable (nested frame does not decode: bad predicate name bytes")
+    assert len(lines) == 2
 
 
 @pytest.mark.parametrize("command", ["check", "encode"])

@@ -204,12 +204,15 @@ PREDICATES = st.one_of(
     st.builds(PredicateCode, st.integers(1, 2**72)),
     st.builds(PredicateCode, st.integers(2**2040, 2**2400)),
 )
+# a nested object holds a valid proposition, so nested frames are drawn
+# from the frames of valid propositions shallow enough to nest
 OBJECTS = st.one_of(
     st.builds(ObjectRef.num, st.integers(1, 2**64 - 1)),
     st.just(ObjectRef.all_objects()),
-    FRAMES.filter(lambda f: f.depth < 8).map(ObjectRef.nested),
+    st.deferred(lambda: PROPOSITIONS).filter(lambda p: p.object.depth < 8)
+    .map(lambda p: ObjectRef.nested(encode_frame(p))),
 )
-# genprops-style propositions, and ones with any well-typed nested frame
+# genprops-style propositions, and ones with any valid nested proposition
 PROPOSITIONS = st.one_of(
     st.integers(0, 2**32).map(lambda s: gen_proposition(random.Random(s))),
     st.builds(Proposition, st.booleans(), PREDICATES, OBJECTS),

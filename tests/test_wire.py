@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +14,7 @@ from semchan import (
     frame_to_wire,
     parse_proposition,
     receive,
+    render_proposition,
     wire_to_frames,
 )
 from semchan.codec import Frame, FrameDecodeError
@@ -196,17 +198,6 @@ def test_truncated_stream_diagnostic():
     assert any(d.kind == "truncated" for d in diags)
 
 
-def test_hex_dump_annotates_fields():
-    from semchan.wire import hex_dump
-
-    f = encode_frame(parse_proposition("ON(112)"))
-    dump = hex_dump(f)
-    assert "SYNC  a5 5a" in dump
-    assert "VER   01" in dump
-    assert "BODY  01 00 02 4f 4e 00 00 01 70" in dump
-    assert dump.count("\n") == 4
-
-
 def wrap(body: bytes) -> bytes:
     """A CRC-valid version-1 wire frame around arbitrary BODY bytes."""
     header = b"\x01" + len(body).to_bytes(2, "big")
@@ -255,6 +246,30 @@ STREAMS = st.lists(st.one_of(st.binary(max_size=24), st.just(SYNC),
 def test_receive_never_raises(stream):
     props, diags = receive(stream)
     assert all(d.offset < len(stream) for d in diags)
+
+
+def nest(pol, pbytes, body):
+    """A BODY whose name-predicate object is the given nested BODY."""
+    return (bytes([pol, PTAG_NAME, len(pbytes)]) + pbytes + bytes([OTAG_NESTED])
+            + len(body).to_bytes(2, "big") + body)
+
+
+# CRC-valid frames whose grammar holds at every level but which nest, one
+# to three levels down, a BODY with non-ASCII name bytes
+UNDECODABLE_NESTED = st.builds(
+    lambda pols, bad: wrap(reduce(lambda body, pol: nest(pol, b"NT", body), pols, bad)),
+    st.lists(st.sampled_from([0x00, 0x01]), min_size=1, max_size=3),
+    st.builds(lambda pol, name, obj: bytes([pol, PTAG_NAME, len(name)]) + name + obj,
+              st.sampled_from([0x00, 0x01]),
+              st.binary(max_size=4).map(lambda b: b + b"\xfe"),
+              st.sampled_from([b"\x00\x00\x01\x70", b"\x02\x00\x00"])))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(STREAMS, UNDECODABLE_NESTED), max_size=4).map(b"".join))
+def test_received_propositions_parse_back_from_their_text(stream):
+    for p in receive(stream)[0]:
+        assert parse_proposition(render_proposition(p)) == p
 
 
 @settings(max_examples=300)
