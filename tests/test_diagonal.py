@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from semchan import (
+    Frame,
     ObjectRef,
     PredicateCode,
     Proposition,
@@ -16,13 +18,24 @@ from semchan import (
     decode_frame,
     encode_frame,
     eval_NT,
+    eval_Tr,
     find_fixed_point,
     make_channel,
     parse_proposition,
     payload_bits,
+    transmit,
 )
-from semchan.transfer import NON_TRANSFERABLE, PARADOXICAL, TRANSFERABLE
+from semchan.diagonal import (
+    ERR,
+    EnumerationTable,
+    FixedPointReport,
+    ParadoxReport,
+    TraceStep,
+)
+from semchan.transfer import NON_TRANSFERABLE, PARADOXICAL, TRANSFERABLE, Verdict
 from semchan.wire import body_bytes
+
+from test_codec import outcome
 
 P = PredicateCode("P")
 Q = PredicateCode("Q")
@@ -224,3 +237,221 @@ def test_err_analyses_pinned_over_noisy_channel(frame, kinds, digest):
     assert "".join(letter[r.verdict.kind] for r in reports) == kinds
     doc = json.dumps([r.to_json() for r in reports]).encode()
     assert hashlib.sha256(doc).hexdigest() == digest
+
+
+# Reference copies of the builders and the analyzer as they were when each
+# nested row was built by encoding its inner proposition to a Frame and
+# decoding it back through ObjectRef.nested; the properties below pin the
+# current functions to them outcome for outcome and use for use.
+
+
+def reference_build_B(t, n):
+    if not 1 <= n <= len(t.predicates):
+        raise IndexError(f"n out of range 1..{len(t.predicates)}: {n}")
+    inner = encode_frame(Proposition(True, t.predicates[n - 1], ObjectRef.num(n)))
+    return encode_frame(Proposition(True, NT, ObjectRef.nested(inner)))
+
+
+def reference_build_Bprime(t, n, nt_form=False):
+    if not 1 <= n <= len(t.predicates):
+        raise IndexError(f"n out of range 1..{len(t.predicates)}: {n}")
+    if nt_form:
+        inner = encode_frame(Proposition(True, t.predicates[n - 1], ObjectRef.num(n)))
+        return encode_frame(Proposition(False, NT, ObjectRef.nested(inner)))
+    inner = encode_frame(Proposition(False, t.predicates[n - 1], ObjectRef.num(n)))
+    return encode_frame(Proposition(False, TR, ObjectRef.nested(inner)))
+
+
+def reference_find_fixed_point(t):
+    k, k_prime = t.k_nt, t.k_tr
+    npred = len(t.predicates)
+    if not (1 <= k <= npred and 1 <= k_prime <= npred):
+        raise ValueError("NT/Tr missing from enumeration")
+    left = reference_build_B(t, k)
+    inner = encode_frame(Proposition(True, t.predicates[k - 1], ObjectRef.num(k)))
+    right = encode_frame(Proposition(True, NT, ObjectRef.nested(inner)))
+
+    left_p = reference_build_Bprime(t, k_prime)
+    inner_p = encode_frame(
+        Proposition(False, t.predicates[k_prime - 1], ObjectRef.num(k_prime)))
+    right_p = encode_frame(Proposition(False, TR, ObjectRef.nested(inner_p)))
+
+    return FixedPointReport(
+        k=k,
+        k_prime=k_prime,
+        frame_star=left,
+        frame_star_prime=left_p,
+        identity_holds=body_bytes(left) == body_bytes(right),
+        identity_prime_holds=body_bytes(left_p) == body_bytes(right_p),
+    )
+
+
+def reference_analyze_self_reference(c, f):
+    p = decode_frame(f)
+    if not p.predicate.is_builtin:
+        raise ValueError(f"not a builtin self-referential frame: {p.predicate}")
+    if p.object.kind == "number":
+        raise ValueError("self-reference analysis needs object '*' or a nested frame")
+
+    transcript = transmit(c, p)
+    fidelity = transcript.transferred
+    name = p.predicate.value
+    asserted = p.polarity
+    self_desc = "its own code" if p.object.kind == "all" else "the nested frame"
+
+    observed = None
+    trace = []
+    if not fidelity:
+        trace.append(TraceStep(
+            "(i) received content is true",
+            "no equivalent content was received; branch unreachable",
+            True,
+        ))
+    else:
+        target = f if p.object.kind == "all" else f.object_frame
+        if name == "NT":
+            observed = eval_NT(c, target)
+        elif name == "Tr":
+            observed = eval_Tr(c, target)
+        else:
+            if p.object.kind == "all":
+                t = transcript
+            else:
+                t = transmit(c, p.object.inner)
+            observed = t.sent_bytes != t.recv_bytes
+        claim = f"{name} holds of {self_desc}" if asserted \
+            else f"{name} fails of {self_desc}"
+        trace.append(TraceStep(
+            "(i) received content is true",
+            f"content implies {claim}: asserted {name}={asserted}, "
+            f"channel execution gives {name}={observed}",
+            asserted != observed,
+        ))
+    branch_i_ok = trace[-1].contradiction is False
+
+    if fidelity:
+        trace.append(TraceStep(
+            "(ii) frame was not transferred",
+            "round trip reproduced the frame (structural fidelity holds)",
+            True,
+        ))
+    else:
+        trace.append(TraceStep(
+            "(ii) frame was not transferred",
+            "round trip failed to reproduce the frame; assumption consistent",
+            False,
+        ))
+    branch_ii_ok = trace[-1].contradiction is False
+
+    if not branch_i_ok and not branch_ii_ok:
+        kind = PARADOXICAL
+    elif branch_i_ok:
+        kind = TRANSFERABLE
+    else:
+        kind = NON_TRANSFERABLE
+    verdict = Verdict(
+        kind,
+        transcript,
+        tuple(f"{s.assumption} -> {s.consequence}" for s in trace),
+    )
+    return ParadoxReport(
+        frame=f,
+        structural_fidelity=fidelity,
+        asserted_self_instance=asserted,
+        observed_self_instance=observed,
+        case_trace=tuple(trace),
+        verdict=verdict,
+    )
+
+
+def enumeration_tables(size):
+    """Tables over size name and index predicates, with NT and Tr each
+    absent or at every position."""
+    rng = random.Random(size)
+    for nt_at in (None, *range(size)):
+        for tr_at in (None, *range(size)):
+            if nt_at is not None and nt_at == tr_at:
+                continue
+            preds = []
+            for i in range(size):
+                if i == nt_at:
+                    preds.append(NT)
+                elif i == tr_at:
+                    preds.append(TR)
+                elif rng.random() < 0.3:
+                    preds.append(PredicateCode(rng.choice((1, 2**64, 2**300)) + i))
+                else:
+                    preds.append(PredicateCode(f"P{i}"))
+            yield build_enumeration(preds, 1 + size % 3)
+
+
+def assert_builders_match_reference(t):
+    assert outcome(find_fixed_point, t) == outcome(reference_find_fixed_point, t)
+    for n in range(-1, len(t.predicates) + 2):
+        assert outcome(build_B, t, n) == outcome(reference_build_B, t, n)
+        for nt_form in (False, True):
+            assert (outcome(build_Bprime, t, n, nt_form)
+                    == outcome(reference_build_Bprime, t, n, nt_form))
+
+
+@pytest.mark.parametrize("size", range(1, 11))
+def test_builders_match_reference(size):
+    for t in enumeration_tables(size):
+        assert_builders_match_reference(t)
+
+
+@pytest.mark.parametrize("k_nt, k_tr", [
+    (0, 0), (0, 2), (2, 0), (3, 2), (2, 4), (4, 3), (1, 1), (2, 3)])
+def test_builders_match_reference_off_indices(k_nt, k_tr):
+    assert_builders_match_reference(EnumerationTable((P, NT, TR), 1, k_nt, k_tr))
+
+
+def nested_objects():
+    """Inner propositions at nesting depths 1-3 of the outer object."""
+    leaves = [parse_proposition(s) for s in ("P(3)", "~#7(*)", "NT(*)", "~Err(1)")]
+    for leaf in leaves:
+        yield leaf
+        mid = Proposition(False, TR, ObjectRef.nested(encode_frame(leaf)))
+        yield mid
+        yield Proposition(True, Q, ObjectRef.nested(encode_frame(mid)))
+
+
+BAD_NESTED = Frame(True, "name", b"\xff\xfe", "number", 112)
+
+ANALYZED_FRAMES = [
+    encode_frame(Proposition(pol, pred, obj))
+    for pred in (NT, TR, ERR)
+    for pol in (True, False)
+    for obj in (ObjectRef.all_objects(),
+                *(ObjectRef.nested(encode_frame(q)) for q in nested_objects()))
+] + [
+    encode_frame(parse_proposition("ON(112)")),
+    encode_frame(parse_proposition("NT(3)")),
+    encode_frame(parse_proposition("~#9(*)")),
+    Frame(True, "name", b"Err", "nested", object_frame=BAD_NESTED),
+    Frame(True, "name", b"NT", "nested", object_frame=Frame(
+        False, "name", b"Tr", "nested", object_frame=BAD_NESTED)),
+    Frame(True, "bogus", b"NT", "all"),
+]
+
+ANALYSIS_CHANNELS = [
+    {"kind": "perfect"},
+    {"kind": "bitflip", "p": 0.01, "seed": 5},
+    {"kind": "bitflip", "p": 0.5, "seed": 5},
+    {"kind": "bitflip", "p": 1.0, "seed": 5},
+    {"kind": "truncate", "max_bits": 0},
+    {"kind": "truncate", "max_bits": 40},
+    {"kind": "truncate", "max_bits": 512},
+    {"kind": "substitute", "map": {"78": 77, "77": 78}},
+]
+
+
+@pytest.mark.parametrize("config", ANALYSIS_CHANNELS,
+                         ids=lambda cfg: "-".join(map(str, cfg.values()))[:24])
+def test_analyze_self_reference_matches_reference(config):
+    for f in ANALYZED_FRAMES:
+        c, ref = make_channel(config), make_channel(config)
+        for _ in range(3):
+            assert (outcome(analyze_self_reference, c, f)
+                    == outcome(reference_analyze_self_reference, ref, f))
+            assert c.uses == ref.uses
