@@ -44,7 +44,8 @@ class TransmissionSystem:
 
     kind = "abstract"
     seed = 0
-    # True/False when injectivity is decidable analytically, None otherwise
+    # True when the system is one-to-one at every use by construction;
+    # None for truncate, whose injectivity depends on the corpus and is sampled
     analytic_injective: Optional[bool] = None
 
     def apply(self, data: bytes, n: int) -> bytes:
@@ -63,17 +64,19 @@ class BitFlipTS(TransmissionSystem):
     """Flips each bit independently with probability p.
 
     The RNG is keyed on (seed, use counter) so identical uses reproduce
-    identical outputs across processes.
+    identical outputs across processes.  At a fixed use the flip mask
+    depends only on (seed, use, length), never on the data, so every use
+    XORs a fixed mask and is a bijection.
     """
 
     kind = "bitflip"
+    analytic_injective = True
 
     def __init__(self, p: float, seed: int = 0):
         if not 0.0 <= p <= 1.0:
             raise ChannelConfigError(f"flip probability out of [0,1]: {p}")
         self.p = p
         self.seed = seed
-        self.analytic_injective = True if p == 0.0 else None
 
     def apply(self, data: bytes, n: int) -> bytes:
         if self.p == 0.0:
@@ -105,7 +108,6 @@ class TruncateTS(TransmissionSystem):
         if max_bits < 0:
             raise ChannelConfigError(f"max_bits must be >= 0: {max_bits}")
         self.max_bits = max_bits
-        self.analytic_injective = None
 
     def apply(self, data: bytes, n: int) -> bytes:
         if len(data) * 8 <= self.max_bits:
@@ -271,7 +273,7 @@ def transmit(c: Channel, p: Proposition) -> Transcript:
     elif props:
         error = f"expected one clean frame, got {len(props)} with {len(diags)} diagnostics"
     else:
-        detail = "; ".join(f"{d.kind}@{d.offset}: {d.detail}" for d in diags)
+        detail = "; ".join(map(str, diags))
         error = f"no frame recovered ({detail or 'empty stream'})"
     return Transcript(
         sent_proposition=p,
@@ -296,13 +298,14 @@ def verify_activeness(ts: TransmissionSystem,
                       corpus: Iterable[Proposition]) -> ActivenessReport:
     """Check the one-to-one input/output condition over a corpus.
 
-    Analytically injective systems report true without sampling; others
-    are sampled with a frozen use counter and any collision exhibited.
+    Analytically injective systems (every kind but truncate) report true
+    without sampling; truncate is sampled with a frozen use counter and
+    any collision exhibited.
     """
     corpus = list(corpus)
     if not corpus:
         raise ValueError("activeness corpus must be nonempty")
-    if ts.analytic_injective is True:
+    if ts.analytic_injective:
         return ActivenessReport(injective=True, analytic=True)
     seen: dict[bytes, Proposition] = {}
     for p in corpus:

@@ -12,12 +12,7 @@ import json
 import socket
 import sys
 
-from .channel import (
-    ChannelConfigError,
-    append_transcript,
-    load_channel,
-    make_channel,
-)
+from .channel import append_transcript, load_channel, make_channel
 from .codec import decode_frame, encode_frame, payload_bits
 from .diagonal import (
     analyze_self_reference,
@@ -26,13 +21,7 @@ from .diagonal import (
     build_enumeration,
     find_fixed_point,
 )
-from .model import (
-    PredicateCode,
-    PropositionSyntaxError,
-    load_world,
-    parse_proposition,
-    render_proposition,
-)
+from .model import PredicateCode, load_world, parse_proposition, render_proposition
 from .tarski import ground_corpus, verify_bridge
 from .transfer import TRANSFERABLE, check_transferable
 from .wire import encode, receive
@@ -70,7 +59,7 @@ def cmd_decode(args) -> int:
     props, diags = receive(raw)
     doc = {
         "propositions": [render_proposition(p) for p in props],
-        "diagnostics": [f"{d.kind}@{d.offset}: {d.detail}" for d in diags],
+        "diagnostics": [str(d) for d in diags],
     }
     _emit(args, doc, "\n".join(doc["propositions"] + doc["diagnostics"]))
     return EXIT_OK if props else EXIT_USAGE
@@ -166,7 +155,7 @@ def handle_stream(data: bytes, analyze: bool = False,
         if d.kind == "undecodable":
             lines.append(f"frame {d.offset}: undecodable ({d.detail})")
         else:
-            lines.append(f"diagnostic {d.kind}@{d.offset}: {d.detail}")
+            lines.append(f"diagnostic {d}")
         code = EXIT_NEGATIVE
     return lines, code
 
@@ -298,7 +287,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (PropositionSyntaxError, ChannelConfigError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

@@ -5,8 +5,11 @@ appended as ordinary enumerated predicates), builds the derived B/B'
 rows, locates the diagonal fixed point where the NT row meets its own
 index, and mechanizes the receiver's two-branch case analysis for
 self-referential frames (NT, Tr, Err over all-objects or a nested
-frame).  Paradox is a verdict, not an exception: the analyzer is total
-on its precondition.
+proposition).  Rows are built as propositions that nest their inner
+proposition directly and are encoded once, where a public function
+returns a Frame; the analyzer decodes its frame once and sends
+propositions.  Paradox is a verdict, not an exception: the analyzer is
+total on its precondition.
 """
 
 from __future__ import annotations
@@ -17,15 +20,8 @@ from typing import Iterator, Optional
 from .codec import Frame, decode_frame, encode_frame
 from .channel import Channel, transmit
 from .model import ObjectRef, PredicateCode, Proposition
-from .transfer import (
-    NON_TRANSFERABLE,
-    PARADOXICAL,
-    TRANSFERABLE,
-    Verdict,
-    eval_NT,
-    eval_Tr,
-)
-from .wire import body_bytes
+from .transfer import NON_TRANSFERABLE, PARADOXICAL, TRANSFERABLE, Verdict
+from .wire import body_bytes, encode, frame_to_wire
 
 NT = PredicateCode("NT")
 TR = PredicateCode("Tr")
@@ -72,12 +68,21 @@ def build_enumeration(preds: list[PredicateCode], max_n: int) -> EnumerationTabl
     )
 
 
-def build_B(t: EnumerationTable, n: int) -> Frame:
-    """Derived row B(n): the frame (1, NT, nested (1, P_n, n))."""
+def _about(polarity: bool, pred: PredicateCode, inner: Proposition) -> Proposition:
+    """pred applied to the nested proposition inner."""
+    return Proposition(polarity, pred, ObjectRef("nested", 0, inner))
+
+
+def _cell(t: EnumerationTable, n: int, polarity: bool) -> Proposition:
+    """P_n(n); raises IndexError for n outside the table."""
     if not 1 <= n <= len(t.predicates):
         raise IndexError(f"n out of range 1..{len(t.predicates)}: {n}")
-    inner = encode_frame(Proposition(True, t.predicates[n - 1], ObjectRef.num(n)))
-    return encode_frame(Proposition(True, NT, ObjectRef.nested(inner)))
+    return Proposition(polarity, t.predicates[n - 1], ObjectRef.num(n))
+
+
+def build_B(t: EnumerationTable, n: int) -> Frame:
+    """Derived row B(n): the frame (1, NT, nested (1, P_n, n))."""
+    return encode_frame(_about(True, NT, _cell(t, n, True)))
 
 
 def build_Bprime(t: EnumerationTable, n: int, nt_form: bool = False) -> Frame:
@@ -87,13 +92,9 @@ def build_Bprime(t: EnumerationTable, n: int, nt_form: bool = False) -> Frame:
     reading; the two are distinct byte strings and are never asserted
     equal.
     """
-    if not 1 <= n <= len(t.predicates):
-        raise IndexError(f"n out of range 1..{len(t.predicates)}: {n}")
     if nt_form:
-        inner = encode_frame(Proposition(True, t.predicates[n - 1], ObjectRef.num(n)))
-        return encode_frame(Proposition(False, NT, ObjectRef.nested(inner)))
-    inner = encode_frame(Proposition(False, t.predicates[n - 1], ObjectRef.num(n)))
-    return encode_frame(Proposition(False, TR, ObjectRef.nested(inner)))
+        return encode_frame(_about(False, NT, _cell(t, n, True)))
+    return encode_frame(_about(False, TR, _cell(t, n, False)))
 
 
 @dataclass(frozen=True)
@@ -128,21 +129,17 @@ def find_fixed_point(t: EnumerationTable) -> FixedPointReport:
     if not (1 <= k <= npred and 1 <= k_prime <= npred):
         raise ValueError("NT/Tr missing from enumeration")
     left = build_B(t, k)
-    inner = encode_frame(Proposition(True, t.predicates[k - 1], ObjectRef.num(k)))
-    right = encode_frame(Proposition(True, NT, ObjectRef.nested(inner)))
-
+    right = _about(True, NT, Proposition(True, t.predicates[k - 1], ObjectRef.num(k)))
     left_p = build_Bprime(t, k_prime)
-    inner_p = encode_frame(
-        Proposition(False, t.predicates[k_prime - 1], ObjectRef.num(k_prime)))
-    right_p = encode_frame(Proposition(False, TR, ObjectRef.nested(inner_p)))
-
+    right_p = _about(False, TR, Proposition(
+        False, t.predicates[k_prime - 1], ObjectRef.num(k_prime)))
     return FixedPointReport(
         k=k,
         k_prime=k_prime,
         frame_star=left,
         frame_star_prime=left_p,
-        identity_holds=body_bytes(left) == body_bytes(right),
-        identity_prime_holds=body_bytes(left_p) == body_bytes(right_p),
+        identity_holds=frame_to_wire(left) == encode(right),
+        identity_prime_holds=frame_to_wire(left_p) == encode(right_p),
     )
 
 
@@ -223,17 +220,12 @@ def analyze_self_reference(c: Channel, f: Frame) -> ParadoxReport:
             True,
         ))
     else:
-        target = f if p.object.kind == "all" else f.object_frame
-        if name == "NT":
-            observed = eval_NT(c, target)
-        elif name == "Tr":
-            observed = eval_Tr(c, target)
-        else:  # Err: byte-level error on the target's own transmission
-            if p.object.kind == "all":
-                t = transcript
-            else:
-                t = transmit(c, p.object.inner)
+        target = p if p.object.kind == "all" else p.object.inner
+        if name == "Err":  # byte-level error on the target's own transmission
+            t = transcript if target is p else transmit(c, target)
             observed = t.sent_bytes != t.recv_bytes
+        else:  # NT holds of what fails its round trip, Tr of what passes
+            observed = transmit(c, target).transferred == (name == "Tr")
         claim = f"{name} holds of {self_desc}" if asserted \
             else f"{name} fails of {self_desc}"
         trace.append(TraceStep(

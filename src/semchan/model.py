@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Tuple
-
-if TYPE_CHECKING:
-    from .codec import Frame
+from typing import FrozenSet, Iterable, Tuple
 
 BUILTIN_NAMES = frozenset({"NT", "Tr", "Err"})
 
@@ -108,8 +105,6 @@ class ObjectRef:
     @property
     def frame(self) -> "Frame | None":
         """The nested proposition's frame, or None for other kinds."""
-        from .codec import encode_frame
-
         return None if self.inner is None else encode_frame(self.inner)
 
     @staticmethod
@@ -123,8 +118,6 @@ class ObjectRef:
     @staticmethod
     def nested(frame: "Frame") -> "ObjectRef":
         """The object naming a frame's proposition; raises FrameDecodeError."""
-        from .codec import nested_object
-
         return nested_object(frame)
 
 
@@ -167,8 +160,6 @@ def render_proposition(p: Proposition) -> str:
     elif p.object.kind == "all":
         obj = "*"
     else:
-        from .wire import fields_body, frame_fields
-
         obj = "<" + fields_body(*frame_fields(p.object.inner)).hex() + ">"
     return f"{sign}{name}({obj})"
 
@@ -209,19 +200,16 @@ def parse_proposition(text: str) -> Proposition:
     if inner == "*":
         obj = ObjectRef.all_objects()
     elif inner.startswith("<") and inner.endswith(">"):
-        from .codec import FrameDecodeError
-        from .wire import parse_body
-
         try:
             raw = bytes.fromhex(inner[1:-1])
         except ValueError as e:
             raise PropositionSyntaxError(f"bad nested hex: {e}", pos) from e
-        frame, consumed = parse_body(raw)
-        if consumed != len(raw):
-            raise PropositionSyntaxError("trailing bytes in nested frame", pos)
         try:
+            frame, consumed = parse_body(raw)
+            if consumed != len(raw):
+                raise BodyError("trailing bytes in nested frame")
             obj = ObjectRef.nested(frame)
-        except FrameDecodeError as e:
+        except (BodyError, FrameDecodeError) as e:
             raise PropositionSyntaxError(str(e), pos) from None
     elif inner.isdigit():
         n = int(inner)
@@ -320,3 +308,9 @@ def load_world(path: str) -> World:
     if not saw_domain:
         raise ValueError(f"{path}: missing 'domain:' header")
     return World.build(domain, literals)
+
+
+# the codec and the wire format build on the types above
+from .codec import (Frame, FrameDecodeError, encode_frame, frame_fields,
+                    nested_object)
+from .wire import BodyError, fields_body, parse_body

@@ -73,10 +73,10 @@ class TruthPredicate:
 def truth_from_channel(c: Channel, w: World) -> TruthPredicate:
     """T(n) := evaluate the proposition decoded from TS(n) against w.
 
-    Only a system that is not analytically injective is sampled, over the
-    world's ground corpus; an analytic one needs no probe.
+    Only a system that is not analytically injective (truncate) is
+    sampled, over the world's ground corpus; an analytic one needs no probe.
     """
-    probe = [] if c.ts.analytic_injective is True else ground_corpus(w)
+    probe = [] if c.ts.analytic_injective else ground_corpus(w)
     if probe:
         report = verify_activeness(c.ts, probe)
         if not report.injective:

@@ -172,6 +172,9 @@ class Diagnostic:
     offset: int
     detail: str
 
+    def __str__(self) -> str:
+        return f"{self.kind}@{self.offset}: {self.detail}"
+
 
 def receive(stream: bytes) -> tuple[list[Proposition], list[Diagnostic]]:
     """Scan arbitrary bytes for wire frames and decode them.

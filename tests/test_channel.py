@@ -277,3 +277,20 @@ def test_transcript_json_digest_pinned():
             h.update(json.dumps(transmit(c, p).to_json()).encode())
     assert h.hexdigest() == (
         "8c4bd1b3946b2830ba29dbd4c9865f66ec5b0f46545621a91a61bdfcc20bd7db")
+
+
+def test_activeness_bitflip_analytic():
+    report = verify_activeness(BitFlipTS(0.2, 7), corpus(seed=809, count=20))
+    assert report.injective and report.analytic
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([0.01, 0.2, 0.5, 1.0]), st.integers(0, 2**32),
+       st.integers(0, 50), st.binary(min_size=1, max_size=32), st.data())
+def test_bitflip_mask_does_not_depend_on_data(p, seed, n, data, draw):
+    # what makes every bit-flip use a bijection: one fixed XOR mask per
+    # (seed, use, length)
+    other = draw.draw(st.binary(min_size=len(data), max_size=len(data)))
+    ts = BitFlipTS(p, seed)
+    mask = bytes(a ^ b for a, b in zip(data, ts.apply(data, n)))
+    assert bytes(a ^ b for a, b in zip(other, ts.apply(other, n))) == mask

@@ -354,3 +354,10 @@ def test_send_connection_refused_exit_3(capsys):
     code = main(["send", "ON(112)", "--port", str(port)])
     assert code == 3
     capsys.readouterr()
+
+
+def test_nested_hex_grammar_error_has_offset(capsys):
+    code, out, err = run_cli(capsys, "encode", "NT(<01>)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: BODY shorter than fixed header (at byte 3)\n"

@@ -80,6 +80,20 @@ def test_parse_rejects_nested_frame_that_does_not_decode(body, reason):
         parse_proposition(f"NT(<{body}>)")
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("NT(<01>)", "BODY shorter than fixed header", 3),
+    ("~Tr(<0200015000000170>)", "bad POL byte 0x02", 4),
+    ("#12(<01000150030001>)", "truncated object field", 4),
+    ("Err(<0100015003000170>)", "bad OTAG byte 0x03", 4),
+    ("NT(<0100015000000170ff>)", "trailing bytes in nested frame", 3),
+], ids=["short", "pol", "truncated-object", "otag", "trailing"])
+def test_parse_nested_grammar_error_carries_offset(text, message, offset):
+    with pytest.raises(PropositionSyntaxError) as info:
+        parse_proposition(text)
+    assert str(info.value) == f"{message} (at byte {offset})"
+    assert info.value.offset == offset
+
+
 @given(ground_props)
 def test_render_parse_fixed_point(p):
     assert parse_proposition(render_proposition(p)) == p

@@ -237,3 +237,16 @@ def test_bridge_renderings():
     doc = report.to_json()
     assert doc["agree"] is True
     assert any(r["diagonal"] for r in doc["rows"])
+
+
+@pytest.mark.parametrize("p", [0.2, 1.0])
+def test_bitflip_channel_builds_no_probe(monkeypatch, p):
+    def no_probe(w):
+        raise ProbeBuilt
+
+    monkeypatch.setattr("semchan.tarski.ground_corpus", no_probe)
+    c = make_channel({"kind": "bitflip", "p": p, "seed": 7})
+    T = truth_from_channel(c, World.build({1, 2}, {(P, 1, True)}))
+    assert c.uses == 0
+    assert T(wire_code(parse_proposition("P(1)"))) in (True, False)
+    assert c.uses == 1

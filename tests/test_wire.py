@@ -579,3 +579,10 @@ def test_body_bytes_checks_depth_before_predicate_length():
                     ("number", 1))
     assert (outcome(body_bytes, f) == outcome(reference_body_bytes, f)
             == (WireSizeError, "nesting depth exceeded"))
+
+
+def test_diagnostic_str_is_kind_at_offset_detail():
+    stream = b"xy" + encode(parse_proposition("ON(112)"))[:-1]
+    diags = receive(stream)[1]
+    assert [str(d) for d in diags] == [f"{d.kind}@{d.offset}: {d.detail}" for d in diags]
+    assert str(diags[0]) == "garbage@0: 2 unframed bytes"
