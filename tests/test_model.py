@@ -18,6 +18,7 @@ from semchan import (
 from semchan.model import InconsistentWorldError, PropositionSyntaxError, load_world
 
 from genprops import corpus
+from test_codec import outcome
 
 names = st.text(
     alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-",
@@ -240,3 +241,92 @@ def test_load_world_requires_header(tmp_path):
     path.write_text("ON(112)\n")
     with pytest.raises(ValueError):
         load_world(str(path))
+
+
+# Reference copies of World's literal check and of holds as they were when
+# holds looked each signed literal up in the frozenset; the property below
+# pins the current World and holds to them value for value and error for
+# error.
+
+
+def reference_world_check(domain, literals):
+    for pred, obj, pol in literals:
+        if obj not in domain:
+            raise ValueError(f"literal object {obj} not in domain")
+        if (pred, obj, not pol) in literals:
+            raise InconsistentWorldError(
+                f"both polarities asserted for {pred}({obj})"
+            )
+
+
+def reference_holds(w, p):
+    if p.predicate.is_builtin:
+        raise ValueError(
+            f"builtin predicate {p.predicate} is channel-relative, "
+            "not world-evaluable"
+        )
+    if p.object.kind == "nested":
+        raise ValueError("nested-frame objects have no world semantics")
+    if p.object.kind == "number":
+        return (p.predicate, p.object.number, p.polarity) in w.literals
+    return all(
+        (p.predicate, m, p.polarity) in w.literals for m in w.domain
+    )
+
+
+# names and indices side by side, "5" beside 5, and a builtin name that a
+# world may list but holds must refuse
+WORLD_PREDICATES = [PredicateCode("P"), PredicateCode("Q-2"), PredicateCode("5"),
+                    PredicateCode(5), PredicateCode(1), PredicateCode("NT")]
+world_predicates = st.sampled_from(WORLD_PREDICATES)
+world_objects = st.one_of(st.integers(1, 6), st.just(2**64 - 1))
+literal_cells = st.tuples(world_predicates, world_objects)
+
+
+@st.composite
+def world_inputs(draw):
+    """A domain and a literal set: consistent and in the domain, or not."""
+    domain = draw(st.frozensets(world_objects, max_size=6))
+    cells = draw(st.dictionaries(literal_cells, st.booleans(), max_size=12))
+    literals = {(pred, m, pol) for (pred, m), pol in cells.items()}
+    if draw(st.booleans()):
+        # keep the in-domain cells only, so that most such worlds load
+        literals = {lit for lit in literals if lit[1] in domain}
+    if draw(st.integers(0, 3)) == 0:
+        pred, m = draw(literal_cells)
+        literals |= {(pred, m, True), (pred, m, False)}
+    return domain, frozenset(literals)
+
+
+world_queries = st.builds(
+    Proposition,
+    st.booleans(),
+    world_predicates,
+    st.one_of(
+        st.builds(ObjectRef.num, st.one_of(st.integers(1, 8), st.just(2**64 - 1))),
+        st.just(ObjectRef.all_objects()),
+        st.just(ObjectRef.nested(encode_frame(Proposition(
+            True, PredicateCode("P"), ObjectRef.num(1))))),
+    ),
+)
+
+
+@given(world_inputs(), st.lists(world_queries, max_size=10))
+def test_world_and_holds_match_reference(inputs, queries):
+    domain, literals = inputs
+    want = outcome(reference_world_check, domain, literals)
+    got = outcome(World, domain, literals)
+    if want is not None:
+        assert got == want
+        return
+    assert got == World(domain, literals)
+    assert repr(got) == f"World(domain={domain!r}, literals={literals!r})"
+    for p in queries:
+        assert outcome(holds, got, p) == outcome(reference_holds, got, p)
+
+
+@pytest.mark.parametrize("pol", [True, False])
+def test_all_objects_over_empty_domain_matches_reference(pol):
+    w = World.build(set(), set())
+    p = Proposition(pol, PredicateCode("P"), ObjectRef.all_objects())
+    assert holds(w, p) is reference_holds(w, p) is True

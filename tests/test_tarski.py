@@ -4,22 +4,33 @@ import random
 import pytest
 
 from semchan import (
+    BridgeReport,
     ObjectRef,
     PredicateCode,
     Proposition,
+    TruthPredicate,
     World,
+    build_enumeration,
+    decode_frame,
     decoder_from_truth,
     encode_frame,
+    find_fixed_point,
     frame_to_wire,
     ground_corpus,
     holds,
     make_channel,
     parse_proposition,
+    receive,
+    render_proposition,
     truth_from_channel,
+    verify_activeness,
     verify_bridge,
 )
-from semchan.channel import PerfectTS, SubstituteTS, TruncateTS
-from semchan.tarski import ChannelNotActiveError, NotInvertibleError
+from semchan.channel import ActivenessReport, PerfectTS, SubstituteTS, TruncateTS
+from semchan.tarski import BridgeRow, ChannelNotActiveError, NotInvertibleError
+from semchan.wire import encode
+
+from test_codec import outcome
 
 ON = PredicateCode("ON")
 P = PredicateCode("P")
@@ -250,3 +261,159 @@ def test_bitflip_channel_builds_no_probe(monkeypatch, p):
     assert c.uses == 0
     assert T(wire_code(parse_proposition("P(1)"))) in (True, False)
     assert c.uses == 1
+
+
+# Reference copies of the activeness probe, the truth predicate and the
+# bridge as they were when a sampled system's probe encoded the world's
+# ground corpus on its own and the row loop encoded every row again; the
+# tests below pin the current functions to them report for report and use
+# for use.
+
+
+def reference_verify_activeness(ts, corpus):
+    corpus = list(corpus)
+    if not corpus:
+        raise ValueError("activeness corpus must be nonempty")
+    if ts.analytic_injective:
+        return ActivenessReport(injective=True, analytic=True)
+    seen = {}
+    for p in corpus:
+        out = ts.apply(encode(p), 0)
+        if out in seen and seen[out] != p:
+            return ActivenessReport(
+                injective=False,
+                collision=(render_proposition(seen[out]), render_proposition(p)),
+            )
+        seen[out] = p
+    return ActivenessReport(injective=True)
+
+
+def reference_truth_from_channel(c, w):
+    probe = [] if c.ts.analytic_injective else ground_corpus(w)
+    if probe:
+        report = reference_verify_activeness(c.ts, probe)
+        if not report.injective:
+            raise ChannelNotActiveError(
+                f"transmission system not one-to-one: collision {report.collision}")
+
+    def evaluate(code):
+        n = c.uses
+        c.uses += 1
+        props, diags = receive(c.ts.apply(code, n))
+        if len(props) != 1 or diags:
+            return None
+        try:
+            return holds(w, props[0])
+        except ValueError:
+            return None
+
+    return TruthPredicate(evaluate)
+
+
+def reference_verify_bridge(c, w, corpus):
+    corpus = list(corpus)
+    truth = reference_truth_from_channel(c, w)
+    rows = []
+    failures = []
+    for p in corpus:
+        code = encode(p)
+        t_val = truth(code)
+        h_val = holds(w, p)
+        text = render_proposition(p)
+        if t_val != h_val:
+            failures.append(text)
+        rows.append(BridgeRow(text, code.hex(), t_val, h_val, t_val == h_val))
+
+    preds = w.predicates() or sorted(
+        {p.predicate for p in corpus if not p.predicate.is_builtin}, key=str)
+    if preds:
+        table = build_enumeration(preds, max(len(preds), 1))
+        star = find_fixed_point(table).frame_star
+        star_code = frame_to_wire(star)
+        rows.append(BridgeRow(
+            render_proposition(decode_frame(star)), star_code.hex(),
+            truth(star_code), None, None, diagonal=True))
+
+    return BridgeReport(
+        corpus_size=len(corpus),
+        rows=tuple(rows),
+        agree=all(r.agree for r in rows if not r.diagonal),
+        failures=tuple(failures),
+        notes=tuple(truth.notes),
+    )
+
+
+BRIDGE_CHANNELS = {
+    "perfect": {"kind": "perfect"},
+    "substitute": {"kind": "substitute", "map": {"165": 90, "90": 165, "1": 2, "2": 1}},
+    "bitflip-0.2": {"kind": "bitflip", "p": 0.2, "seed": 11},
+    "bitflip-1.0": {"kind": "bitflip", "p": 1.0, "seed": 11},
+    "truncate-512-fits": {"kind": "truncate", "max_bits": 512},
+    # this world's frames are 120 and 128 bits: 112 cuts every frame and keeps
+    # them apart, 100 cuts into the object numbers, so 5(1) meets 5(2)
+    "truncate-112-cuts": {"kind": "truncate", "max_bits": 112},
+    "truncate-100-collides": {"kind": "truncate", "max_bits": 100},
+    "truncate-0-collides": {"kind": "truncate", "max_bits": 0},
+}
+
+
+def bridge_world():
+    """Names and indices side by side, both polarities and absent cells."""
+    p5, i5 = PredicateCode("5"), PredicateCode(5)
+    return World.build({1, 2, 14, 112}, {
+        (ON, 112, True), (ON, 14, False), (P, 1, True), (P, 2, True),
+        (p5, 1, False), (p5, 2, True), (i5, 1, True), (i5, 14, True),
+    })
+
+
+def bridge_outcome(verify, config, corpus_of):
+    """The report's JSON and the channel's uses, or what the bridge raised."""
+    c = make_channel(config)
+    w = bridge_world()
+    try:
+        report = verify(c, w, corpus_of(w))
+    except Exception as e:
+        return type(e), str(e), c.uses
+    return report.to_json(), c.uses
+
+
+@pytest.mark.parametrize("corpus_of", [ground_corpus, lambda w: []],
+                         ids=["ground", "empty"])
+@pytest.mark.parametrize("name", list(BRIDGE_CHANNELS))
+def test_verify_bridge_matches_reference(name, corpus_of):
+    config = BRIDGE_CHANNELS[name]
+    got = bridge_outcome(verify_bridge, config, corpus_of)
+    assert got == bridge_outcome(reference_verify_bridge, config, corpus_of)
+    collisions = {"truncate-0-collides": "('5(1)', '~5(1)')",
+                  "truncate-100-collides": "('5(1)', '5(2)')"}
+    if name in collisions:
+        assert got[:2] == (ChannelNotActiveError, "transmission system not "
+                           f"one-to-one: collision {collisions[name]}")
+    else:
+        assert isinstance(got[0], dict)
+
+
+@pytest.mark.parametrize("name", list(BRIDGE_CHANNELS))
+def test_truth_from_channel_matches_reference(name):
+    config = BRIDGE_CHANNELS[name]
+    w = bridge_world()
+    codes = [encode(p) for p in ground_corpus(w)] + [b"", b"\xa5\x5a\x01"]
+
+    def values(make):
+        c = make_channel(config)
+        try:
+            truth = make(c, w)
+        except ChannelNotActiveError as e:
+            return str(e), c.uses
+        return [truth(code) for code in codes + codes], truth.notes, c.uses
+
+    assert values(truth_from_channel) == values(reference_truth_from_channel)
+
+
+@pytest.mark.parametrize("name", list(BRIDGE_CHANNELS))
+def test_verify_activeness_matches_reference(name):
+    ts = make_channel(BRIDGE_CHANNELS[name]).ts
+    corpus = ground_corpus(bridge_world())
+    for rows in (corpus, corpus[1:], corpus[::3], corpus[:1] * 2, []):
+        assert (outcome(verify_activeness, ts, rows)
+                == outcome(reference_verify_activeness, ts, rows))
