@@ -93,6 +93,10 @@ class BitFlipTS(TransmissionSystem):
             out[i >> 3] ^= 0x80 >> (i & 7)
         return bytes(out)
 
+    def invert(self, data: bytes, n: int) -> bytes:
+        """Undo use n: the same mask XORed again, so this is ``apply``."""
+        return self.apply(data, n)
+
 
 class TruncateTS(TransmissionSystem):
     """Keeps only the first max_bits bits of the stream, zero-padding a
@@ -307,15 +311,21 @@ def verify_activeness(ts: TransmissionSystem,
         raise ValueError("activeness corpus must be nonempty")
     if ts.analytic_injective:
         return ActivenessReport(injective=True, analytic=True)
+    return _sample_activeness(ts, corpus, [encode(p) for p in corpus])
+
+
+def _sample_activeness(ts: TransmissionSystem, corpus: list[Proposition],
+                       codes: list[bytes]) -> ActivenessReport:
+    """Apply ts at use 0 to each row's code; report the first collision."""
     seen: dict[bytes, Proposition] = {}
-    for p in corpus:
-        out = ts.apply(encode(p), 0)
-        if out in seen and seen[out] != p:
+    apply = ts.apply
+    for p, code in zip(corpus, codes):
+        q = seen.setdefault(apply(code, 0), p)
+        if q is not p and q != p:
             return ActivenessReport(
                 injective=False,
-                collision=(render_proposition(seen[out]), render_proposition(p)),
+                collision=(render_proposition(q), render_proposition(p)),
             )
-        seen[out] = p
     return ActivenessReport(injective=True)
 
 

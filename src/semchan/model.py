@@ -229,20 +229,29 @@ class World:
 
     ``literals`` holds (predicate, object number, polarity) triples.  An
     atom is true only if its exact signed literal is listed; absence means
-    false for both polarities' assertions.
+    false for both polarities' assertions.  Construction indexes the literals
+    as predicate value -> object -> polarity, and ``holds`` reads that index.
     """
 
     domain: FrozenSet[int]
     literals: FrozenSet[Tuple[PredicateCode, int, bool]]
 
     def __post_init__(self):
+        index: dict[str | int, dict[int, bool]] = {}
         for pred, obj, pol in self.literals:
-            if obj not in self.domain:
-                raise ValueError(f"literal object {obj} not in domain")
-            if (pred, obj, not pol) in self.literals:
-                raise InconsistentWorldError(
-                    f"both polarities asserted for {pred}({obj})"
-                )
+            row = index.get(pred.value)
+            if row is None:
+                row = index[pred.value] = {}
+            if obj not in self.domain or row.setdefault(obj, pol) != pol:
+                # some literal is bad: raise for the first, in set order
+                for q, m, s in self.literals:
+                    if m not in self.domain:
+                        raise ValueError(f"literal object {m} not in domain")
+                    if (q, m, not s) in self.literals:
+                        raise InconsistentWorldError(
+                            f"both polarities asserted for {q}({m})"
+                        )
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def build(
@@ -263,18 +272,20 @@ def holds(w: World, p: Proposition) -> bool:
     true every object must carry the positive literal, with polarity
     false every object must carry the negative one.
     """
-    if p.predicate.is_builtin:
+    value = p.predicate.value
+    if value in BUILTIN_NAMES:
         raise ValueError(
             f"builtin predicate {p.predicate} is channel-relative, "
             "not world-evaluable"
         )
-    if p.object.kind == "nested":
+    obj = p.object
+    if obj.kind == "number":
+        row = w._index.get(value)
+        return row is not None and row.get(obj.number) == p.polarity
+    if obj.kind == "nested":
         raise ValueError("nested-frame objects have no world semantics")
-    if p.object.kind == "number":
-        return (p.predicate, p.object.number, p.polarity) in w.literals
-    return all(
-        (p.predicate, m, p.polarity) in w.literals for m in w.domain
-    )
+    row = w._index.get(value, {})
+    return all(row.get(m) == p.polarity for m in w.domain)
 
 
 def load_world(path: str) -> World:
@@ -282,30 +293,35 @@ def load_world(path: str) -> World:
 
     First non-comment line is ``domain: 1 2 3 ...``; each following line
     is one literal in the proposition grammar.  ``#`` starts a comment.
+    A bad line raises a ValueError that starts ``path:line:``.
     """
-    domain: set[int] = set()
+    domain: set[int] | None = None
     literals: set[Tuple[PredicateCode, int, bool]] = set()
-    saw_domain = False
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if not saw_domain:
-                if not line.startswith("domain:"):
+            try:
+                if domain is None:
+                    if not line.startswith("domain:"):
+                        raise ValueError("expected 'domain:' header")
+                    domain = {ObjectRef.num(int(tok)).number
+                              for tok in line[len("domain:"):].split()}
+                    continue
+                p = parse_proposition(line)
+                if p.object.kind != "number":
+                    raise ValueError("world literals must use object numbers")
+                m = p.object.number
+                if m not in domain:
+                    raise ValueError(f"literal object {m} not in domain")
+                if (p.predicate, m, not p.polarity) in literals:
                     raise ValueError(
-                        f"{path}:{lineno}: expected 'domain:' header"
-                    )
-                domain = {int(tok) for tok in line[len("domain:"):].split()}
-                saw_domain = True
-                continue
-            p = parse_proposition(line)
-            if p.object.kind != "number":
-                raise ValueError(
-                    f"{path}:{lineno}: world literals must use object numbers"
-                )
-            literals.add((p.predicate, p.object.number, p.polarity))
-    if not saw_domain:
+                        f"both polarities asserted for {p.predicate}({m})")
+                literals.add((p.predicate, m, p.polarity))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+    if domain is None:
         raise ValueError(f"{path}: missing 'domain:' header")
     return World.build(domain, literals)
 

@@ -17,11 +17,12 @@ from typing import Callable, Iterable, Optional
 
 from .codec import decode_frame
 from .channel import (
+    BitFlipTS,
     Channel,
     PerfectTS,
     SubstituteTS,
     TransmissionSystem,
-    verify_activeness,
+    _sample_activeness,
 )
 from .diagonal import build_enumeration, find_fixed_point
 from .model import ObjectRef, Proposition, World, holds, render_proposition
@@ -58,7 +59,8 @@ class TruthPredicate:
         self.notes: list[str] = []
 
     def __call__(self, code: bytes) -> bool:
-        if code not in self._table:
+        value = self._table.get(code)
+        if value is None:
             value = self._evaluate(code)
             if value is None:
                 self.notes.append(
@@ -67,7 +69,7 @@ class TruthPredicate:
                 log.info(self.notes[-1])
                 value = False
             self._table[code] = value
-        return self._table[code]
+        return value
 
 
 def truth_from_channel(c: Channel, w: World) -> TruthPredicate:
@@ -77,16 +79,24 @@ def truth_from_channel(c: Channel, w: World) -> TruthPredicate:
     sampled, over the world's ground corpus; an analytic one needs no probe.
     """
     probe = [] if c.ts.analytic_injective else ground_corpus(w)
-    if probe:
-        report = verify_activeness(c.ts, probe)
+    return _truth(c, w, probe, [encode(p) for p in probe])
+
+
+def _truth(c: Channel, w: World, probe: list[Proposition],
+           codes: list[bytes]) -> TruthPredicate:
+    """truth_from_channel, sampling a system that is not analytically
+    injective over the probe rows, whose codes are given."""
+    if probe and not c.ts.analytic_injective:
+        report = _sample_activeness(c.ts, probe, codes)
         if not report.injective:
             raise ChannelNotActiveError(
                 f"transmission system not one-to-one: collision {report.collision}")
+    apply = c.ts.apply
 
     def evaluate(code: bytes) -> Optional[bool]:
         n = c.uses
         c.uses += 1
-        props, diags = receive(c.ts.apply(code, n))
+        props, diags = receive(apply(code, n))
         if len(props) != 1 or diags:
             return None
         try:
@@ -98,18 +108,21 @@ def truth_from_channel(c: Channel, w: World) -> TruthPredicate:
 
 
 def decoder_from_truth(truth: TruthPredicate,
-                       ts: TransmissionSystem) -> Callable[[bytes], bool]:
-    """d(n') = truth(TS^{-1}(n')); requires an invertible system."""
+                       ts: TransmissionSystem) -> Callable[..., bool]:
+    """d(n', n) = truth(TS^{-1}(n')) for the n-th use (default 0), which
+    only a bit-flip system reads; requires an invertible system."""
     if isinstance(ts, PerfectTS):
-        invert = lambda data: data
+        invert = lambda data, n: data
     elif isinstance(ts, SubstituteTS):
+        invert = lambda data, n: ts.invert(data)
+    elif isinstance(ts, BitFlipTS):
         invert = ts.invert
     else:
         raise NotInvertibleError(
             f"transmission system {ts.kind!r} is not invertible")
 
-    def decode(code: bytes) -> bool:
-        return truth(invert(code))
+    def decode(code: bytes, n: int = 0) -> bool:
+        return truth(invert(code, n))
 
     return decode
 
@@ -167,15 +180,17 @@ def verify_bridge(c: Channel, w: World,
                   corpus: Iterable[Proposition]) -> BridgeReport:
     """Check P <-> T(Encode(P)) row by row over a ground corpus.
 
+    Each row is encoded once, and a sampled system (truncate) is probed over
+    these rows' codes; over an empty corpus, over the world's ground corpus.
     The diagonal fixed-point frame is appended as a flagged row that is
     excluded from the agreement flag; its presence is mandatory.
     """
     corpus = list(corpus)
-    truth = truth_from_channel(c, w)
+    codes = [encode(p) for p in corpus]
+    truth = _truth(c, w, corpus, codes) if corpus else truth_from_channel(c, w)
     rows: list[BridgeRow] = []
     failures: list[str] = []
-    for p in corpus:
-        code = encode(p)
+    for p, code in zip(corpus, codes):
         t_val = truth(code)
         h_val = holds(w, p)
         text = render_proposition(p)

@@ -361,3 +361,28 @@ def test_nested_hex_grammar_error_has_offset(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: BODY shorter than fixed header (at byte 3)\n"
+
+
+@pytest.mark.parametrize("text, lineno, reason", [
+    ("P(1)\n", 1, "expected 'domain:' header"),
+    ("domain: 1 x\n", 1, "invalid literal for int() with base 10: 'x'"),
+    ("# header next\ndomain: 0 1\n", 2, "object number out of range 1..2^64-1: 0"),
+    ("domain: 1 18446744073709551616\n", 1,
+     "object number out of range 1..2^64-1: 18446744073709551616"),
+    ("domain: 1 2\nP(1)\nP(3)\n", 3, "literal object 3 not in domain"),
+    ("domain: 1 2\nP(1)\n\n~P(1)  # the other polarity\n", 4,
+     "both polarities asserted for P(1)"),
+    ("domain: 1 2\nP(*)\n", 2, "world literals must use object numbers"),
+    ("domain: 1 2\nP(1\n", 2, "expected ')' at end (at byte 3)"),
+], ids=["no-header", "domain-not-integer", "domain-zero", "domain-too-large",
+        "object-outside-domain", "both-polarities", "all-objects-literal",
+        "bad-literal"])
+def test_bad_world_file_names_the_line(capsys, perfect_cfg, tmp_path, text,
+                                       lineno, reason):
+    path = tmp_path / "bad.world"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "bridge", "--world", str(path),
+                             "--channel", perfect_cfg)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}:{lineno}: {reason}\n"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -26,7 +27,8 @@ from semchan import (
     verify_activeness,
     verify_bridge,
 )
-from semchan.channel import ActivenessReport, PerfectTS, SubstituteTS, TruncateTS
+from semchan.channel import (ActivenessReport, BitFlipTS, PerfectTS, SubstituteTS,
+                             TruncateTS)
 from semchan.tarski import BridgeRow, ChannelNotActiveError, NotInvertibleError
 from semchan.wire import encode
 
@@ -185,6 +187,32 @@ def test_decoder_from_truth_substitute_inverts_byte_map():
     d = decoder_from_truth(T, ts)
     for p in ground_corpus(w):
         assert d(ts.apply(wire_code(p), 0)) == T(wire_code(p))
+
+
+@pytest.mark.parametrize("p", [0.2, 1.0])
+def test_decoder_from_truth_inverts_bitflip_at_each_use(p):
+    w = World.build({1, 2}, {(P, 1, True), (P, 2, False)})
+    T = truth_from_channel(make_channel({}), w)
+    ts = BitFlipTS(p, seed=9)
+    d = decoder_from_truth(T, ts)
+    flipped = 0
+    for n in range(6):
+        for q in ground_corpus(w):
+            code = wire_code(q)
+            received = ts.apply(code, n)
+            flipped += received != code
+            assert d(received, n) == T(code) == holds(w, q)
+    assert flipped == 6 * 4 if p == 1.0 else flipped > 0
+
+
+@pytest.mark.parametrize("ts", [PerfectTS(), SubstituteTS({1: 2, 2: 1})])
+def test_decoder_from_truth_ignores_use_for_fixed_systems(ts):
+    w = World.build({1, 2}, {(P, 1, True)})
+    T = truth_from_channel(make_channel({}), w)
+    d = decoder_from_truth(T, ts)
+    for q in ground_corpus(w):
+        received = ts.apply(wire_code(q), 0)
+        assert d(received) == d(received, 5) == T(wire_code(q))
 
 
 def test_decoder_from_truth_rejects_truncate():
@@ -417,3 +445,42 @@ def test_verify_activeness_matches_reference(name):
     for rows in (corpus, corpus[1:], corpus[::3], corpus[:1] * 2, []):
         assert (outcome(verify_activeness, ts, rows)
                 == outcome(reference_verify_activeness, ts, rows))
+
+
+@pytest.mark.parametrize("name", list(BRIDGE_CHANNELS))
+def test_verify_bridge_encodes_each_row_once(monkeypatch, name):
+    w = bridge_world()
+    corpus = ground_corpus(w)
+    encoded = []
+
+    def counting_encode(p):
+        encoded.append(p)
+        return encode(p)
+
+    def no_probe(w):
+        raise ProbeBuilt
+
+    for module in ("semchan.tarski", "semchan.channel"):
+        monkeypatch.setattr(f"{module}.encode", counting_encode)
+    monkeypatch.setattr("semchan.tarski.ground_corpus", no_probe)
+    try:
+        verify_bridge(make_channel(BRIDGE_CHANNELS[name]), w, corpus)
+    except ChannelNotActiveError:
+        assert name.endswith("collides")
+    assert encoded == corpus
+
+
+def test_sampled_bridge_probes_the_rows_it_checks():
+    # the ground corpus collides over truncate 0 at ('5(1)', '~5(1)'); a
+    # corpus of other rows is probed over those rows alone
+    w = bridge_world()
+    rows = [parse_proposition(t) for t in ("P(1)", "~P(1)", "ON(112)")]
+    with pytest.raises(ChannelNotActiveError,
+                       match=re.escape("collision ('P(1)', '~P(1)')")):
+        verify_bridge(make_channel({"kind": "truncate", "max_bits": 0}), w, rows)
+    c = make_channel({"kind": "truncate", "max_bits": 0})
+    report = verify_bridge(c, w, rows[2:])
+    assert [(r.proposition, r.truth, r.world_holds) for r in report.rows[:1]] == [
+        ("ON(112)", False, True)]
+    assert not report.agree and report.failures == ("ON(112)",)
+    assert c.uses == 2  # the row and the diagonal row
