@@ -316,9 +316,11 @@ def load_world(path: str) -> World:
                 if m not in domain:
                     raise ValueError(f"literal object {m} not in domain")
                 if (p.predicate, m, not p.polarity) in literals:
-                    raise ValueError(
+                    raise InconsistentWorldError(
                         f"both polarities asserted for {p.predicate}({m})")
                 literals.add((p.predicate, m, p.polarity))
+            except InconsistentWorldError as e:
+                raise InconsistentWorldError(f"{path}:{lineno}: {e}") from None
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
     if domain is None:

@@ -236,6 +236,14 @@ def test_load_world(tmp_path):
     assert holds(w, parse_proposition("~AC-Fail(14)"))
 
 
+def test_load_world_keeps_the_inconsistency_type(tmp_path):
+    path = tmp_path / "w.world"
+    path.write_text("domain: 1\nP(1)\n~P(1)\n")
+    with pytest.raises(InconsistentWorldError,
+                       match=re.escape(f"{path}:3: both polarities asserted for P(1)")):
+        load_world(str(path))
+
+
 def test_load_world_requires_header(tmp_path):
     path = tmp_path / "w.world"
     path.write_text("ON(112)\n")
