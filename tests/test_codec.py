@@ -13,7 +13,7 @@ from semchan import (
     parse_proposition,
     payload_bits,
 )
-from semchan.codec import Frame, FrameDecodeError
+from semchan.codec import Frame, FrameDecodeError, decode_fields
 
 from genprops import corpus, gen_proposition
 
@@ -239,3 +239,100 @@ def test_codec_matches_reference_on_corpus():
         f = encode_frame(p)
         assert f == reference_encode_frame(p)
         assert decode_frame(f) == reference_decode_frame(f)
+
+
+# Reference decoder: decode_fields as it was before it shared decoded
+# predicate and number values.  Every decode must match it: an equal
+# result, or the same exception type and message, on first sight of its
+# fields and on every later one.
+
+def reference_nested_object(f: Frame) -> ObjectRef:
+    if f.depth >= 8:
+        raise FrameDecodeError("nesting depth exceeded")
+    try:
+        inner = reference_decode_fields(
+            f.polarity, f.predicate_tag, f.predicate_bytes, f.object_tag,
+            f.object_number, f.object_frame)
+    except FrameDecodeError as e:
+        raise FrameDecodeError(f"nested frame does not decode: {e}") from None
+    return ObjectRef("nested", 0, inner)
+
+
+def reference_decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
+    if ptag == "name":
+        try:
+            pred = PredicateCode(pbytes.decode("ascii"))
+        except (UnicodeDecodeError, ValueError) as e:
+            raise FrameDecodeError(f"bad predicate name bytes: {e}") from e
+    elif ptag == "index":
+        idx = int.from_bytes(pbytes, "big")
+        if idx < 1:
+            raise FrameDecodeError("zero predicate index")
+        pred = PredicateCode(idx)
+    else:
+        raise FrameDecodeError(f"bad predicate tag: {ptag!r}")
+    if kind == "number":
+        if not 1 <= number <= 2**64 - 1:
+            raise FrameDecodeError(f"number object out of range 1..2^64-1: {number}")
+        obj = ObjectRef.num(number)
+    elif kind == "all":
+        obj = ObjectRef.all_objects()
+    elif kind == "nested":
+        obj = reference_nested_object(nested)
+    else:
+        raise FrameDecodeError(f"bad object tag: {kind!r}")
+    return Proposition(pol, pred, obj)
+
+
+# the same bytes under both tags, names that are not ASCII, empty or over
+# 64 bytes, index 0 and zero-padded indices, and a few repeated values so
+# that later draws reuse earlier ones
+FIELD_PREDICATE_BYTES = st.one_of(
+    st.sampled_from([b"5", b"\x05", b"\x00", b"\x00\x05", b"", b"P", b"ON",
+                     "é".encode(), b"\xff", b"A" * 64, b"A" * 65]),
+    PREDICATE_BYTES,
+)
+FIELD_NUMBERS = st.one_of(
+    st.sampled_from([0, 1, 2, 112, 2**64 - 1, 2**64]),
+    st.integers(0, 300),
+    st.integers(0, 2**72),
+)
+FIELDS = st.one_of(
+    st.tuples(st.booleans(), st.sampled_from(["name", "index", "bad"]),
+              FIELD_PREDICATE_BYTES,
+              st.sampled_from(["number", "number", "all", "bad"]),
+              FIELD_NUMBERS, st.none()),
+    st.builds(lambda pol, tag, pbytes, f: (pol, tag, pbytes, "nested", 0, f),
+              st.booleans(), st.sampled_from(["name", "index"]),
+              FIELD_PREDICATE_BYTES,
+              st.one_of(FRAMES, PROPOSITIONS.map(reference_encode_frame))),
+)
+
+
+@settings(max_examples=200)
+@example([(True, "name", b"5", "number", 1, None),
+          (True, "index", b"5", "number", 1, None),
+          (True, "name", b"\x05", "all", 0, None),
+          (True, "index", b"\x05", "all", 0, None)])
+@example([(False, "index", b"\x00", "number", 2**64 - 1, None),
+          (False, "name", b"\x00", "number", 2**64, None)])
+@given(st.lists(FIELDS, min_size=1, max_size=6))
+def test_decode_fields_matches_reference(field_tuples):
+    for _ in range(2):
+        for fields in field_tuples:
+            assert (outcome(decode_fields, *fields)
+                    == outcome(reference_decode_fields, *fields))
+
+
+def test_same_predicate_bytes_under_both_tags():
+    for pbytes, name, index in [(b"5", "5", 53), (b"\x05", None, 5),
+                                (b"A", "A", 65)]:
+        for _ in range(2):
+            by_index = decode_fields(True, "index", pbytes, "number", 1, None)
+            assert by_index.predicate == PredicateCode(index)
+            if name is None:
+                with pytest.raises(FrameDecodeError, match="bad predicate name"):
+                    decode_fields(True, "name", pbytes, "number", 1, None)
+            else:
+                by_name = decode_fields(True, "name", pbytes, "number", 1, None)
+                assert by_name.predicate == PredicateCode(name)
