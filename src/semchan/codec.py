@@ -79,26 +79,55 @@ def encode_frame(p: Proposition) -> Frame:
     return Frame(*fields, None if inner is None else encode_frame(inner))
 
 
+# decoded values shared between frames: predicates by name bytes and by
+# index bytes apart (b"5" is the name "5" but the index 53), and in-range
+# object numbers; a table that reaches the bound is cleared
+_SHARED_BOUND = 1024
+_names: dict[bytes, PredicateCode] = {}
+_indices: dict[bytes, PredicateCode] = {}
+_numbers: dict[int, ObjectRef] = {}
+_ALL = ObjectRef("all")
+
+
+def _share(table: dict, key, value):
+    if len(table) >= _SHARED_BOUND:
+        table.clear()
+    table[key] = value
+    return value
+
+
 def decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
-    """decode_frame of a frame given as its fields, in Frame's order."""
+    """decode_frame of a frame given as its fields, in Frame's order.
+
+    Predicates and number objects already decoded are shared, not rebuilt:
+    each value is checked once, and each table holds at most
+    ``_SHARED_BOUND`` of them.
+    """
     if ptag == "name":
-        try:
-            pred = PredicateCode(pbytes.decode("ascii"))
-        except (UnicodeDecodeError, ValueError) as e:
-            raise FrameDecodeError(f"bad predicate name bytes: {e}") from e
+        pred = _names.get(pbytes)
+        if pred is None:
+            try:
+                pred = PredicateCode(pbytes.decode("ascii"))
+            except (UnicodeDecodeError, ValueError) as e:
+                raise FrameDecodeError(f"bad predicate name bytes: {e}") from e
+            _share(_names, pbytes, pred)
     elif ptag == "index":
-        idx = int.from_bytes(pbytes, "big")
-        if idx < 1:
-            raise FrameDecodeError("zero predicate index")
-        pred = PredicateCode(idx)
+        pred = _indices.get(pbytes)
+        if pred is None:
+            idx = int.from_bytes(pbytes, "big")
+            if idx < 1:
+                raise FrameDecodeError("zero predicate index")
+            pred = _share(_indices, pbytes, PredicateCode(idx))
     else:
         raise FrameDecodeError(f"bad predicate tag: {ptag!r}")
     if kind == "number":
-        if not 1 <= number <= MAX_OBJECT_NUMBER:
-            raise FrameDecodeError(f"number object out of range 1..2^64-1: {number}")
-        obj = ObjectRef.num(number)
+        obj = _numbers.get(number)
+        if obj is None:
+            if not 1 <= number <= MAX_OBJECT_NUMBER:
+                raise FrameDecodeError(f"number object out of range 1..2^64-1: {number}")
+            obj = _share(_numbers, number, ObjectRef("number", number))
     elif kind == "all":
-        obj = ObjectRef.all_objects()
+        obj = _ALL
     elif kind == "nested":
         obj = nested_object(nested)
     else:

@@ -127,7 +127,7 @@ def decoder_from_truth(truth: TruthPredicate,
     return decode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BridgeRow:
     proposition: str
     code_hex: str

@@ -13,6 +13,7 @@ from semchan import (
     parse_proposition,
     payload_bits,
 )
+from semchan import codec
 from semchan.codec import Frame, FrameDecodeError, decode_fields
 
 from genprops import corpus, gen_proposition
@@ -336,3 +337,17 @@ def test_same_predicate_bytes_under_both_tags():
             else:
                 by_name = decode_fields(True, "name", pbytes, "number", 1, None)
                 assert by_name.predicate == PredicateCode(name)
+
+
+def test_shared_values_stay_bounded():
+    bound = codec._SHARED_BOUND
+    tables = codec._names, codec._indices, codec._numbers
+    for i in range(1, 3 * bound + 1):
+        for fields in [(True, "name", b"N%d" % i, "number", i, None),
+                       (False, "index", minimal_bytes(i), "all", 0, None)]:
+            assert decode_fields(*fields) == reference_decode_fields(*fields)
+        assert all(len(table) <= bound for table in tables)
+    # the first values were dropped by a clear; they decode as before
+    for i in (1, 2, bound + 1, 3 * bound):
+        fields = (True, "index", minimal_bytes(i), "number", i, None)
+        assert decode_fields(*fields) == reference_decode_fields(*fields)
