@@ -20,6 +20,8 @@ MAX_OBJECT_NUMBER = 2**64 - 1
 MAX_NESTING_DEPTH = 8
 
 _NAME_RE = re.compile(r"[A-Za-z0-9-]+")
+# in a world file, a '#' that does not start an index predicate ('#5')
+_COMMENT_RE = re.compile(r"#(?!\d)")
 
 
 class PropositionSyntaxError(ValueError):
@@ -147,6 +149,11 @@ def equivalent(p: Proposition, q: Proposition) -> bool:
     return p == q
 
 
+def _spelling(pred: PredicateCode) -> str:
+    """A predicate as the text grammar writes it: NAME or '#' INDEX."""
+    return pred.value if pred.is_name else f"#{pred.value}"
+
+
 def render_proposition(p: Proposition) -> str:
     """Text surface: ``['~'] (NAME | '#' INDEX) '(' (NUMBER | '*' | '<hex>') ')'``.
 
@@ -154,7 +161,7 @@ def render_proposition(p: Proposition) -> str:
     numeric-index predicates are renderable in transcripts.
     """
     sign = "" if p.polarity else "~"
-    name = p.predicate.value if p.predicate.is_name else f"#{p.predicate.value}"
+    name = _spelling(p.predicate)
     if p.object.kind == "number":
         obj = str(p.object.number)
     elif p.object.kind == "all":
@@ -249,7 +256,7 @@ class World:
                         raise ValueError(f"literal object {m} not in domain")
                     if (q, m, not s) in self.literals:
                         raise InconsistentWorldError(
-                            f"both polarities asserted for {q}({m})"
+                            f"both polarities asserted for {_spelling(q)}({m})"
                         )
         object.__setattr__(self, "_index", index)
 
@@ -292,14 +299,15 @@ def load_world(path: str) -> World:
     """Read the line-oriented world file format.
 
     First non-comment line is ``domain: 1 2 3 ...``; each following line
-    is one literal in the proposition grammar.  ``#`` starts a comment.
+    is one literal in the proposition grammar.  A ``#`` starts a comment
+    unless a digit follows it, as in the index predicate ``#5(1)``.
     A bad line raises a ValueError that starts ``path:line:``.
     """
     domain: set[int] | None = None
     literals: set[Tuple[PredicateCode, int, bool]] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT_RE.split(raw, 1)[0].strip()
             if not line:
                 continue
             try:
@@ -317,7 +325,7 @@ def load_world(path: str) -> World:
                     raise ValueError(f"literal object {m} not in domain")
                 if (p.predicate, m, not p.polarity) in literals:
                     raise InconsistentWorldError(
-                        f"both polarities asserted for {p.predicate}({m})")
+                        f"both polarities asserted for {_spelling(p.predicate)}({m})")
                 literals.add((p.predicate, m, p.polarity))
             except InconsistentWorldError as e:
                 raise InconsistentWorldError(f"{path}:{lineno}: {e}") from None

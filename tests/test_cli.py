@@ -259,6 +259,19 @@ def test_bridge_table_output(capsys, perfect_cfg, world_file):
     assert "agreement: True" in out
 
 
+def test_bridge_over_index_predicates(capsys, perfect_cfg, tmp_path):
+    path = tmp_path / "index.world"
+    path.write_text("domain: 1 2\n#5(1)  # an index literal\n")
+    code, out, _ = run_cli(capsys, "bridge", "--world", str(path),
+                           "--channel", perfect_cfg, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["corpus_size"] == 4
+    assert doc["agree"] is True
+    assert [r["proposition"] for r in doc["rows"] if not r["diagonal"]] == [
+        "#5(1)", "~#5(1)", "#5(2)", "~#5(2)"]
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["encode"]) == 2
     capsys.readouterr()

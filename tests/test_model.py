@@ -244,6 +244,36 @@ def test_load_world_keeps_the_inconsistency_type(tmp_path):
         load_world(str(path))
 
 
+def test_load_world_reads_index_predicates(tmp_path):
+    path = tmp_path / "w.world"
+    path.write_text(
+        "# '#' and a digit spell an index predicate; any other '#' a comment\n"
+        "domain: 1 2 3\n"
+        "#5(1)\n"
+        "~#5(2)\n"
+        "#7(3)  # note after an index literal\n"
+        "#comment right after the hash\n"
+    )
+    w = load_world(str(path))
+    assert w.literals == {(PredicateCode(5), 1, True),
+                          (PredicateCode(5), 2, False),
+                          (PredicateCode(7), 3, True)}
+    assert holds(w, parse_proposition("#5(1)"))
+    assert holds(w, parse_proposition("~#5(2)"))
+    assert not holds(w, parse_proposition("#5(2)"))
+
+
+def test_index_predicate_conflict_is_spelled_as_in_the_grammar(tmp_path):
+    path = tmp_path / "w.world"
+    path.write_text("domain: 1\n#5(1)\n~#5(1)\n")
+    with pytest.raises(InconsistentWorldError,
+                       match=re.escape(f"{path}:3: both polarities asserted for #5(1)")):
+        load_world(str(path))
+    with pytest.raises(InconsistentWorldError,
+                       match=re.escape("both polarities asserted for #5(1)")):
+        World.build({1}, {(PredicateCode(5), 1, True), (PredicateCode(5), 1, False)})
+
+
 def test_load_world_requires_header(tmp_path):
     path = tmp_path / "w.world"
     path.write_text("ON(112)\n")
@@ -252,9 +282,10 @@ def test_load_world_requires_header(tmp_path):
 
 
 # Reference copies of World's literal check and of holds as they were when
-# holds looked each signed literal up in the frozenset; the property below
-# pins the current World and holds to them value for value and error for
-# error.
+# holds looked each signed literal up in the frozenset, except that the
+# check spells an index predicate as the grammar does ('#5', not 'P_5');
+# the property below pins the current World and holds to them value for
+# value and error for error.
 
 
 def reference_world_check(domain, literals):
@@ -262,8 +293,9 @@ def reference_world_check(domain, literals):
         if obj not in domain:
             raise ValueError(f"literal object {obj} not in domain")
         if (pred, obj, not pol) in literals:
+            spelling = pred.value if pred.is_name else f"#{pred.value}"
             raise InconsistentWorldError(
-                f"both polarities asserted for {pred}({obj})"
+                f"both polarities asserted for {spelling}({obj})"
             )
 
 
