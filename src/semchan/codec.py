@@ -79,9 +79,8 @@ def encode_frame(p: Proposition) -> Frame:
     return Frame(*fields, None if inner is None else encode_frame(inner))
 
 
-# decoded values shared between frames: predicates by name bytes and by
-# index bytes apart (b"5" is the name "5" but the index 53), and in-range
-# object numbers; a table that reaches the bound is cleared
+# decoded predicates, by name bytes and by index bytes apart (b"5" names "5"
+# but indexes 53), and in-range number objects; cleared at the bound
 _SHARED_BOUND = 1024
 _names: dict[bytes, PredicateCode] = {}
 _indices: dict[bytes, PredicateCode] = {}
@@ -97,20 +96,16 @@ def _share(table: dict, key, value):
 
 
 def decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
-    """decode_frame of a frame given as its fields, in Frame's order.
-
-    Predicates and number objects already decoded are shared, not rebuilt:
-    each value is checked once, and each table holds at most
-    ``_SHARED_BOUND`` of them.
-    """
+    """decode_frame of a frame given as its fields, in Frame's order.  Decoded
+    predicates and number objects are checked once and shared, not rebuilt;
+    each of their tables holds at most _SHARED_BOUND values."""
     if ptag == "name":
         pred = _names.get(pbytes)
         if pred is None:
             try:
-                pred = PredicateCode(pbytes.decode("ascii"))
+                pred = _share(_names, pbytes, PredicateCode(pbytes.decode("ascii")))
             except (UnicodeDecodeError, ValueError) as e:
                 raise FrameDecodeError(f"bad predicate name bytes: {e}") from e
-            _share(_names, pbytes, pred)
     elif ptag == "index":
         pred = _indices.get(pbytes)
         if pred is None:

@@ -20,7 +20,6 @@ MAX_OBJECT_NUMBER = 2**64 - 1
 MAX_NESTING_DEPTH = 8
 
 _NAME_RE = re.compile(r"[A-Za-z0-9-]+")
-# in a world file, a '#' that does not start an index predicate ('#5')
 _COMMENT_RE = re.compile(r"#(?!\d)")
 
 
@@ -149,8 +148,7 @@ def equivalent(p: Proposition, q: Proposition) -> bool:
     return p == q
 
 
-def _spelling(pred: PredicateCode) -> str:
-    """A predicate as the text grammar writes it: NAME or '#' INDEX."""
+def _spelling(pred: PredicateCode) -> str:  # NAME or '#' INDEX, as parsed
     return pred.value if pred.is_name else f"#{pred.value}"
 
 
