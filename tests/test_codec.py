@@ -325,20 +325,6 @@ def test_decode_fields_matches_reference(field_tuples):
                     == outcome(reference_decode_fields, *fields))
 
 
-def test_same_predicate_bytes_under_both_tags():
-    for pbytes, name, index in [(b"5", "5", 53), (b"\x05", None, 5),
-                                (b"A", "A", 65)]:
-        for _ in range(2):
-            by_index = decode_fields(True, "index", pbytes, "number", 1, None)
-            assert by_index.predicate == PredicateCode(index)
-            if name is None:
-                with pytest.raises(FrameDecodeError, match="bad predicate name"):
-                    decode_fields(True, "name", pbytes, "number", 1, None)
-            else:
-                by_name = decode_fields(True, "name", pbytes, "number", 1, None)
-                assert by_name.predicate == PredicateCode(name)
-
-
 def test_shared_values_stay_bounded():
     bound = codec._SHARED_BOUND
     tables = codec._names, codec._indices, codec._numbers
