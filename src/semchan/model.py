@@ -236,6 +236,12 @@ class World:
     atom is true only if its exact signed literal is listed; absence means
     false for both polarities' assertions.  Construction indexes the literals
     as predicate value -> object -> polarity, and ``holds`` reads that index.
+
+    A world also keeps a private memo, received bytes -> ``holds`` value,
+    that the truth predicates over it share (see ``truth_from_channel``).
+    It holds only the wire forms of the world's own atoms, so it stays
+    within 2 * |predicates| * (|domain| + 1) entries; it is no field, so
+    equality, hashing and repr ignore it.
     """
 
     domain: FrozenSet[int]
@@ -257,6 +263,7 @@ class World:
                             f"both polarities asserted for {_spelling(q)}({m})"
                         )
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_evaluated", {})
 
     @staticmethod
     def build(

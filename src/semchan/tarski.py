@@ -77,6 +77,13 @@ def truth_from_channel(c: Channel, w: World) -> TruthPredicate:
 
     Only a system that is not analytically injective (truncate) is
     sampled, over the world's ground corpus; an analytic one needs no probe.
+    Only TS(n) depends on the channel: decoding and evaluating the received
+    bytes is shared, through w's memo, by every truth predicate over w.  The
+    memo keeps a received stream only when it decoded to exactly one
+    proposition over w's own predicates and over '*' or a domain object, so
+    noise cannot grow it past 2 * |predicates| * (|domain| + 1) entries.
+    Each call the predicate's table misses still advances the use counter
+    and applies TS, so uses, noise and notes are as without the memo.
     """
     probe = [] if c.ts.analytic_injective else ground_corpus(w)
     return _truth(c, w, probe, [encode(p) for p in probe])
@@ -92,17 +99,29 @@ def _truth(c: Channel, w: World, probe: list[Proposition],
             raise ChannelNotActiveError(
                 f"transmission system not one-to-one: collision {report.collision}")
     apply = c.ts.apply
+    index, domain, evaluated = w._index, w.domain, w._evaluated
 
     def evaluate(code: bytes) -> Optional[bool]:
         n = c.uses
         c.uses += 1
-        props, diags = receive(apply(code, n))
+        received = bytes(apply(code, n))
+        value = evaluated.get(received)
+        if value is not None:
+            return value
+        props, diags = receive(received)
         if len(props) != 1 or diags:
             return None
+        p = props[0]
         try:
-            return holds(w, props[0])
+            value = holds(w, p)
         except ValueError:
             return None
+        # received is exactly encode(p), so keeping only the world's own atoms
+        # bounds the memo by 2 * |predicates| * (|domain| + 1) entries
+        obj = p.object
+        if p.predicate.value in index and (obj.kind == "all" or obj.number in domain):
+            evaluated[received] = value
+        return value
 
     return TruthPredicate(evaluate)
 

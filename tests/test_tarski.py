@@ -20,6 +20,7 @@ from semchan import (
     ground_corpus,
     holds,
     make_channel,
+    negate,
     parse_proposition,
     receive,
     render_proposition,
@@ -486,3 +487,115 @@ def test_sampled_bridge_probes_the_rows_it_checks():
         ("ON(112)", False, True)]
     assert not report.agree and report.failures == ("ON(112)",)
     assert c.uses == 2  # the row and the diagonal row
+
+
+
+# A world remembers the received streams it has judged.  The tests below share
+# one world between channels and pin every answer to the reference copies run
+# on a fresh world each time.
+
+def truth_answers(truth_of, config, w, codes):
+    """Each code's truth value, asked twice over, and the notes, or what the
+    truth predicate raised; then the channel's uses."""
+    c = make_channel(config)
+    truth = outcome(truth_of, c, w)
+    if isinstance(truth, TruthPredicate):
+        truth = [truth(code) for code in codes + codes], truth.notes
+    return truth, c.uses
+
+
+def channel_outcomes(names, verify, truth_of, world_of):
+    """For each channel in turn: the bridge over the ground and the empty
+    corpus, each with the channel's uses after it, or what it raised, then
+    the truth predicate's answers on every ground code and two streams that
+    do not decode.  world_of() gives the world of each call."""
+    codes = [encode(p) for p in ground_corpus(bridge_world())] + [b"", b"\xa5\x5a\x01"]
+    got = []
+    for name in names:
+        config = BRIDGE_CHANNELS[name]
+        for corpus_of in (ground_corpus, lambda w: []):
+            c, w = make_channel(config), world_of()
+            got.append((outcome(lambda: verify(c, w, corpus_of(w)).to_json()), c.uses))
+        got.append(truth_answers(truth_of, config, world_of(), codes))
+    return got
+
+
+def memo_bound(w):
+    return 2 * len(w.predicates()) * (len(w.domain) + 1)
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed", "twice"])
+def test_shared_world_matches_reference_on_fresh_worlds(order):
+    names = list(BRIDGE_CHANNELS)
+    names = {"forward": names, "reversed": names[::-1], "twice": names + names}[order]
+    w = bridge_world()
+    assert (channel_outcomes(names, verify_bridge, truth_from_channel, lambda: w)
+            == channel_outcomes(names, reference_verify_bridge,
+                                reference_truth_from_channel, bridge_world))
+    assert 0 < len(w._evaluated) <= memo_bound(w)
+
+
+def test_world_memo_spares_the_second_decode(monkeypatch):
+    w = bridge_world()
+    codes = [encode(p) for p in ground_corpus(w)]
+    received = []
+
+    def counting_receive(stream):
+        received.append(stream)
+        return receive(stream)
+
+    monkeypatch.setattr("semchan.tarski.receive", counting_receive)
+    first = truth_from_channel(make_channel({}), w)
+    assert [first(code) for code in codes] == [holds(w, p) for p in ground_corpus(w)]
+    assert received == codes
+    c = make_channel({})
+    second = truth_from_channel(c, w)
+    assert [second(code) for code in codes] == [first(code) for code in codes]
+    assert received == codes and c.uses == len(codes)
+
+
+def test_world_memo_is_bounded_by_its_atoms():
+    # every atom of the world's vocabulary, both polarities, '*' included
+    w = bridge_world()
+    objects = [ObjectRef.num(m) for m in sorted(w.domain)] + [ObjectRef.all_objects()]
+    corpus = [Proposition(pol, pred, obj)
+              for pred in w.predicates() for obj in objects for pol in (True, False)]
+    for name in ("perfect", "substitute", "bitflip-0.2", "truncate-512-fits"):
+        verify_bridge(make_channel(BRIDGE_CHANNELS[name]), w, corpus * 2)
+    assert len(w._evaluated) == memo_bound(w)
+
+
+def test_world_memo_keeps_no_foreign_atom():
+    w = bridge_world()
+    inner = parse_proposition("P(1)")
+    corpus = [parse_proposition(t) for t in (
+        "Q(1)", "~Q(*)", "#6(1)", "P(3)", "~ON(7)", "NT(*)", "~Tr(1)", "Err(*)",
+        "NT(14)")]
+    corpus += [Proposition(True, P, ObjectRef("nested", 0, inner)),
+               Proposition(False, ON, ObjectRef("nested", 0, negate(inner)))]
+    codes = [encode(p) for p in corpus]
+    for config in BRIDGE_CHANNELS.values():
+        assert (truth_answers(truth_from_channel, config, w, codes)
+                == truth_answers(reference_truth_from_channel, config, bridge_world(),
+                                 codes))
+    assert w._evaluated == {}
+
+
+class BytearrayTS(PerfectTS):
+    """A perfect system that hands back a mutable copy."""
+
+    def apply(self, data, n):
+        return bytearray(data)
+
+
+def test_bytearray_system_matches_reference():
+    def answers(verify, truth_of):
+        c, w = make_channel({}), bridge_world()
+        c.ts = BytearrayTS()
+        codes = [encode(p) for p in ground_corpus(w)]
+        report = verify(c, w, ground_corpus(w)).to_json()
+        truth = truth_of(c, w)
+        return report, [truth(code) for code in codes], truth.notes, c.uses
+
+    assert (answers(verify_bridge, truth_from_channel)
+            == answers(reference_verify_bridge, reference_truth_from_channel))
