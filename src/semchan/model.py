@@ -20,7 +20,8 @@ MAX_OBJECT_NUMBER = 2**64 - 1
 MAX_NESTING_DEPTH = 8
 
 _NAME_RE = re.compile(r"[A-Za-z0-9-]+")
-_COMMENT_RE = re.compile(r"#(?!\d)")
+_DIGITS_RE = re.compile(r"[0-9]+")  # ASCII only: \d takes any script's digits
+_COMMENT_RE = re.compile(r"#(?![0-9])")
 
 
 class PropositionSyntaxError(ValueError):
@@ -175,6 +176,7 @@ def parse_proposition(text: str) -> Proposition:
     ``~`` sets polarity false, ``*`` is the all-objects marker, and
     ``<hex>`` is a nested frame given as the hex of a wire body that decodes.
     A literal ``0`` object is rejected: all-objects must be written ``*``.
+    NUMBER and INDEX are ASCII digits; any other digit is a syntax error.
     """
     s = text.strip()
     pos = 0
@@ -184,7 +186,7 @@ def parse_proposition(text: str) -> Proposition:
         pos = 1
     pred: PredicateCode
     if pos < len(s) and s[pos] == "#":
-        m = re.compile(r"\d+").match(s, pos + 1)
+        m = _DIGITS_RE.match(s, pos + 1)
         if not m:
             raise PropositionSyntaxError("expected predicate index after '#'", pos)
         pred = PredicateCode(int(m.group(0)))
@@ -216,7 +218,7 @@ def parse_proposition(text: str) -> Proposition:
             obj = ObjectRef.nested(frame)
         except (BodyError, FrameDecodeError) as e:
             raise PropositionSyntaxError(str(e), pos) from None
-    elif inner.isdigit():
+    elif _DIGITS_RE.fullmatch(inner):
         n = int(inner)
         if n == 0:
             raise PropositionSyntaxError(
@@ -303,9 +305,10 @@ def holds(w: World, p: Proposition) -> bool:
 def load_world(path: str) -> World:
     """Read the line-oriented world file format.
 
-    First non-comment line is ``domain: 1 2 3 ...``; each following line
-    is one literal in the proposition grammar.  A ``#`` starts a comment
-    unless a digit follows it, as in the index predicate ``#5(1)``.
+    First non-comment line is ``domain: 1 2 3 ...``, whose objects are
+    ASCII-digit NUMBERs as in the grammar; each following line is one
+    literal in the proposition grammar.  A ``#`` starts a comment unless an
+    ASCII digit follows it, as in the index predicate ``#5(1)``.
     A bad line raises a ValueError that starts ``path:line:``.
     """
     domain: set[int] | None = None
@@ -319,8 +322,12 @@ def load_world(path: str) -> World:
                 if domain is None:
                     if not line.startswith("domain:"):
                         raise ValueError("expected 'domain:' header")
-                    domain = {ObjectRef.num(int(tok)).number
-                              for tok in line[len("domain:"):].split()}
+                    domain = set()
+                    for tok in line[len("domain:"):].split():
+                        if not _DIGITS_RE.fullmatch(tok):  # int() takes '+5', '1_0'
+                            raise ValueError(
+                                f"invalid literal for int() with base 10: {tok!r}")
+                        domain.add(ObjectRef.num(int(tok)).number)
                     continue
                 p = parse_proposition(line)
                 if p.object.kind != "number":

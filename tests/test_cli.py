@@ -376,6 +376,13 @@ def test_nested_hex_grammar_error_has_offset(capsys):
     assert err == "error: BODY shorter than fixed header (at byte 3)\n"
 
 
+def test_encode_rejects_non_ascii_digits(capsys):
+    code, out, err = run_cli(capsys, "encode", "P(\u0663)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad object: '\u0663' (at byte 2)\n"
+
+
 @pytest.mark.parametrize("text, lineno, reason", [
     ("P(1)\n", 1, "expected 'domain:' header"),
     ("domain: 1 x\n", 1, "invalid literal for int() with base 10: 'x'"),
@@ -387,13 +394,16 @@ def test_nested_hex_grammar_error_has_offset(capsys):
      "both polarities asserted for P(1)"),
     ("domain: 1 2\nP(*)\n", 2, "world literals must use object numbers"),
     ("domain: 1 2\nP(1\n", 2, "expected ')' at end (at byte 3)"),
+    ("domain: 1 +5\n", 1, "invalid literal for int() with base 10: '+5'"),
+    ("domain: 1_0\n", 1, "invalid literal for int() with base 10: '1_0'"),
+    ("domain: 1 \u0663\n", 1, "invalid literal for int() with base 10: '\u0663'"),
 ], ids=["no-header", "domain-not-integer", "domain-zero", "domain-too-large",
         "object-outside-domain", "both-polarities", "all-objects-literal",
-        "bad-literal"])
+        "bad-literal", "domain-sign", "domain-underscore", "domain-non-ascii-digit"])
 def test_bad_world_file_names_the_line(capsys, perfect_cfg, tmp_path, text,
                                        lineno, reason):
     path = tmp_path / "bad.world"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "bridge", "--world", str(path),
                              "--channel", perfect_cfg)
     assert code == 2

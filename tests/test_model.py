@@ -95,6 +95,18 @@ def test_parse_nested_grammar_error_carries_offset(text, message, offset):
     assert info.value.offset == offset
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("P(\u0663)", "bad object: '\u0663'", 2),
+    ("#\u0663(1)", "expected predicate index after '#'", 0),
+    ("P(\u00b2)", "bad object: '\u00b2'", 2),
+], ids=["arabic-indic-number", "arabic-indic-index", "superscript-number"])
+def test_parse_rejects_non_ascii_digits(text, message, offset):
+    with pytest.raises(PropositionSyntaxError) as info:
+        parse_proposition(text)
+    assert str(info.value) == f"{message} (at byte {offset})"
+    assert info.value.offset == offset
+
+
 @given(ground_props)
 def test_render_parse_fixed_point(p):
     assert parse_proposition(render_proposition(p)) == p
@@ -261,6 +273,12 @@ def test_load_world_reads_index_predicates(tmp_path):
     assert holds(w, parse_proposition("#5(1)"))
     assert holds(w, parse_proposition("~#5(2)"))
     assert not holds(w, parse_proposition("#5(2)"))
+
+
+def test_load_world_hash_before_a_non_ascii_digit_is_a_comment(tmp_path):
+    path = tmp_path / "w.world"
+    path.write_text("domain: 1\nP(1)  #\u0663 note\n#\u0663(1)\n", encoding="utf-8")
+    assert load_world(str(path)).literals == {(P, 1, True)}
 
 
 def test_index_predicate_conflict_is_spelled_as_in_the_grammar(tmp_path):
