@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -24,14 +25,17 @@ class ChannelConfigError(ValueError):
     """Raised for unknown TS kinds or invalid TS parameters."""
 
 
+_INTEGER_RE = re.compile(r"-?[0-9]+")  # ASCII digits, as model._DIGITS_RE
+
+
 def _integer(value, what: str) -> int:
-    """An int or a string of one; anything else (a bool, a float, None) is
-    a ChannelConfigError naming what was wrong."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    """An int, or a string of an optional '-' and ASCII digits; anything else
+    (a bool, a float, None, ' 5', '+5', '1_0', '٣') is a ChannelConfigError
+    naming what was wrong."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, str) and _INTEGER_RE.fullmatch(value):
+        return int(value)
     raise ChannelConfigError(f"{what} must be an integer, got {value!r}")
 
 

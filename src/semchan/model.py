@@ -239,17 +239,28 @@ class World:
     false for both polarities' assertions.  Construction indexes the literals
     as predicate value -> object -> polarity, and ``holds`` reads that index.
 
-    A world also keeps a private memo, received bytes -> ``holds`` value,
-    that the truth predicates over it share (see ``truth_from_channel``).
-    It holds only the wire forms of the world's own atoms, so it stays
-    within 2 * |predicates| * (|domain| + 1) entries; it is no field, so
-    equality, hashing and repr ignore it.
+    Every domain object is an object number, 1..2^64-1, as in ``ObjectRef``.
+
+    A world also keeps two private memos over its own atoms (``_owns``): a
+    non-builtin predicate of its literals with ``*`` or a domain object, in
+    both polarities, so each memo stays within 2 * |predicates| *
+    (|domain| + 1) entries with no size option.  ``_evaluated`` maps
+    received bytes -> ``holds`` value and is shared by the truth predicates
+    over the world (see ``truth_from_channel``).  ``_rows`` maps an atom ->
+    [row if T is false, row if T is true, wire code], each row built when a
+    bridge first needs it, and is shared by the bridges over the world (see
+    ``verify_bridge``); shared rows are why ``BridgeRow`` is frozen.  Neither
+    memo is a field, so equality, hashing and repr ignore them.
     """
 
     domain: FrozenSet[int]
     literals: FrozenSet[Tuple[PredicateCode, int, bool]]
 
     def __post_init__(self):
+        out_of_range = [m for m in self.domain if not 1 <= m <= MAX_OBJECT_NUMBER]
+        if out_of_range:
+            raise ValueError(
+                f"object number out of range 1..2^64-1: {min(out_of_range)}")
         index: dict[str | int, dict[int, bool]] = {}
         for pred, obj, pol in self.literals:
             row = index.get(pred.value)
@@ -266,6 +277,7 @@ class World:
                         )
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_evaluated", {})
+        object.__setattr__(self, "_rows", {})
 
     @staticmethod
     def build(
@@ -273,6 +285,14 @@ class World:
         literals: Iterable[Tuple[PredicateCode, int, bool]],
     ) -> "World":
         return World(frozenset(domain), frozenset(literals))
+
+    def _owns(self, p: Proposition) -> bool:
+        """Whether p is one of the world's own atoms, the only keys its memos
+        keep: a non-builtin predicate of its literals with '*' or a domain
+        object (the kind is tested: a nested object carries number 0)."""
+        value, obj = p.predicate.value, p.object
+        return value in self._index and value not in BUILTIN_NAMES and (
+            obj.kind == "all" or obj.kind == "number" and obj.number in self.domain)
 
     def predicates(self) -> list[PredicateCode]:
         """Distinct predicates mentioned by the literal set, sorted."""

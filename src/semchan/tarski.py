@@ -98,8 +98,7 @@ def _truth(c: Channel, w: World, probe: list[Proposition],
         if not report.injective:
             raise ChannelNotActiveError(
                 f"transmission system not one-to-one: collision {report.collision}")
-    apply = c.ts.apply
-    index, domain, evaluated = w._index, w.domain, w._evaluated
+    apply, evaluated = c.ts.apply, w._evaluated
 
     def evaluate(code: bytes) -> Optional[bool]:
         n = c.uses
@@ -118,8 +117,7 @@ def _truth(c: Channel, w: World, probe: list[Proposition],
             return None
         # received is exactly encode(p), so keeping only the world's own atoms
         # bounds the memo by 2 * |predicates| * (|domain| + 1) entries
-        obj = p.object
-        if p.predicate.value in index and (obj.kind == "all" or obj.number in domain):
+        if w._owns(p):
             evaluated[received] = value
         return value
 
@@ -199,23 +197,49 @@ def verify_bridge(c: Channel, w: World,
                   corpus: Iterable[Proposition]) -> BridgeReport:
     """Check P <-> T(Encode(P)) row by row over a ground corpus.
 
-    Each row is encoded once, and a sampled system (truncate) is probed over
-    these rows' codes; over an empty corpus, over the world's ground corpus.
-    The diagonal fixed-point frame is appended as a flagged row that is
-    excluded from the agreement flag; its presence is mandatory.
+    Each row is encoded, or its code looked up, before a sampled system
+    (truncate) is probed over these rows' codes; over an empty corpus, over
+    the world's ground corpus.  The diagonal fixed-point frame is appended as
+    a flagged row that is excluded from the agreement flag; its presence is
+    mandatory.
+
+    Only T(code) depends on the channel.  So the bridges over one world share
+    its memo ``w._rows``: each of the world's own atoms (see ``World``) is
+    encoded once per world, and its row for each truth value is built once
+    and shared by every report that has it, which is why ``BridgeRow`` is
+    frozen.  T is still asked on every row, so uses, notes and errors are as
+    without the memo, and a world's first bridge still decodes every row.
+    Other rows (foreign atoms, builtins, nested objects) are never stored.
     """
     corpus = list(corpus)
-    codes = [encode(p) for p in corpus]
+    memo = w._rows
+    codes: list[bytes] = []
+    entries: list[Optional[list]] = []  # [row if T false, row if T true, code]
+    for p in corpus:
+        entry = memo.get(p)
+        if entry is None:
+            code = encode(p)
+            if w._owns(p):
+                entry = memo[p] = [None, None, code]
+        else:
+            code = entry[2]
+        codes.append(code)
+        entries.append(entry)
     truth = _truth(c, w, corpus, codes) if corpus else truth_from_channel(c, w)
     rows: list[BridgeRow] = []
     failures: list[str] = []
-    for p, code in zip(corpus, codes):
+    for p, code, entry in zip(corpus, codes, entries):
         t_val = truth(code)
-        h_val = holds(w, p)
-        text = render_proposition(p)
-        if t_val != h_val:
-            failures.append(text)
-        rows.append(BridgeRow(text, code.hex(), t_val, h_val, t_val == h_val))
+        row = None if entry is None else entry[t_val]  # False, True index 0, 1
+        if row is None:
+            h_val = holds(w, p)
+            row = BridgeRow(render_proposition(p), code.hex(), t_val, h_val,
+                            t_val == h_val)
+            if entry is not None:
+                entry[t_val] = row
+        if not row.agree:
+            failures.append(row.proposition)
+        rows.append(row)
 
     preds = w.predicates() or sorted(
         {p.predicate for p in corpus if not p.predicate.is_builtin}, key=str)

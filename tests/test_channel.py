@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +161,22 @@ def test_seed_env_must_be_integer(monkeypatch):
     with pytest.raises(ChannelConfigError,
                        match="SEMCHAN_SEED must be an integer, got 'abc'"):
         make_channel({"kind": "bitflip", "p": 0.5, "seed": 1})
+
+
+@pytest.mark.parametrize("seed", ["+5", "1_0", "\u0663", " 7", "7\n", ""])
+def test_seed_env_takes_ascii_digits_only(monkeypatch, seed):
+    monkeypatch.setenv("SEMCHAN_SEED", seed)
+    with pytest.raises(ChannelConfigError,
+                       match=f"SEMCHAN_SEED must be an integer, got {re.escape(repr(seed))}"):
+        make_channel({"kind": "bitflip", "p": 0.5, "seed": 1})
+
+
+def test_integer_strings_still_load(monkeypatch):
+    monkeypatch.setenv("SEMCHAN_SEED", "-12")
+    assert make_channel({"kind": "bitflip", "p": 0.5}).ts.seed == -12
+    monkeypatch.delenv("SEMCHAN_SEED")
+    assert make_channel({"kind": "bitflip", "p": 0.5, "seed": "0042"}).ts.seed == 42
+    assert make_channel({"kind": "truncate", "max_bits": "512"}).ts.max_bits == 512
 
 
 def test_transcript_jsonl_fields(tmp_path):

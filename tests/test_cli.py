@@ -187,6 +187,11 @@ def test_check_prints_received_and_verdict(capsys, bitflip_cfg):
     ({"kind": "substitute", "map": {"x": 1}}, "'map'"),
     ({"kind": "substitute", "map": [1]}, "'map'"),
     ([{"kind": "perfect"}], "JSON object"),
+    # int() also takes these; the grammar's ASCII digits do not
+    ({"kind": "truncate", "max_bits": "+5"}, "'max_bits'"),
+    ({"kind": "truncate", "max_bits": "1_0"}, "'max_bits'"),
+    ({"kind": "truncate", "max_bits": " 512"}, "'max_bits'"),
+    ({"kind": "bitflip", "seed": "\u0663"}, "'seed'"),
 ])
 def test_bad_channel_config_field_exit_2(capsys, tmp_path, config, field):
     path = tmp_path / "bad.json"

@@ -234,6 +234,15 @@ def test_world_rejects_foreign_object():
         World.build({1}, {(P, 2, True)})
 
 
+@pytest.mark.parametrize("domain, bad", [
+    ({0, 2**70}, 0), ({1, 2**64}, 2**64), ({-3, 5}, -3)])
+def test_world_rejects_object_numbers_out_of_range(domain, bad):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"object number out of range 1..2^64-1: {bad}")):
+        World.build(domain, {(P, min(domain), True)})
+    assert World.build({1, 2**64 - 1}, set()).domain == {1, 2**64 - 1}
+
+
 def test_load_world(tmp_path):
     path = tmp_path / "w.world"
     path.write_text(

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -599,3 +600,127 @@ def test_bytearray_system_matches_reference():
 
     assert (answers(verify_bridge, truth_from_channel)
             == answers(reference_verify_bridge, reference_truth_from_channel))
+
+
+# The bridges over one world share each atom's code and row records through
+# w._rows.  The tests below pin what it stores, what it spares and that a
+# world's first bridge still decodes every row.
+
+def bridge_reports(w, names, corpus):
+    """The bridge over each channel that is one-to-one on the corpus."""
+    reports = []
+    for name in names:
+        try:
+            reports.append(verify_bridge(make_channel(BRIDGE_CHANNELS[name]), w, corpus))
+        except ChannelNotActiveError:
+            assert name.endswith("collides")
+    return reports
+
+
+def test_second_bridge_encodes_and_renders_no_stored_row(monkeypatch):
+    w = bridge_world()
+    ground = ground_corpus(w)
+    foreign = [parse_proposition(t) for t in ("Q(1)", "P(3)", "~ON(*)")]
+    corpus = ground + foreign
+    verify_bridge(make_channel({}), w, corpus)
+    encoded, rendered = [], []
+
+    def counting_encode(p):
+        encoded.append(p)
+        return encode(p)
+
+    def counting_render(p):
+        rendered.append(p)
+        return render_proposition(p)
+
+    monkeypatch.setattr("semchan.tarski.encode", counting_encode)
+    monkeypatch.setattr("semchan.tarski.render_proposition", counting_render)
+    c = make_channel(BRIDGE_CHANNELS["truncate-512-fits"])
+    report = verify_bridge(c, w, corpus)
+    assert encoded == foreign[:2]  # ~ON(*) is the world's own atom
+    assert rendered[:-1] == foreign[:2] and rendered[-1] not in corpus  # the diagonal
+    monkeypatch.undo()
+    assert report.to_json() == reference_verify_bridge(
+        make_channel(BRIDGE_CHANNELS["truncate-512-fits"]), bridge_world(),
+        corpus).to_json()
+
+
+def test_first_bridge_over_a_fresh_world_receives_every_row(monkeypatch):
+    w = bridge_world()
+    corpus = ground_corpus(w)
+    codes = [encode(p) for p in corpus]
+    received = []
+
+    def counting_receive(stream):
+        received.append(stream)
+        return receive(stream)
+
+    monkeypatch.setattr("semchan.tarski.receive", counting_receive)
+    verify_bridge(make_channel({}), w, corpus)
+    assert received[:-1] == codes  # then the diagonal row
+    del received[:]
+    verify_bridge(make_channel({}), w, corpus)
+    assert len(received) == 1  # the diagonal row, a builtin: never remembered
+
+
+def test_row_memo_is_bounded_by_its_atoms():
+    w = bridge_world()
+    objects = [ObjectRef.num(m) for m in sorted(w.domain)] + [ObjectRef.all_objects()]
+    corpus = [Proposition(pol, pred, obj)
+              for pred in w.predicates() for obj in objects for pol in (True, False)]
+    for _ in range(2):
+        bridge_reports(w, BRIDGE_CHANNELS, corpus * 2)
+    assert len(w._rows) == memo_bound(w)
+    assert all(encode(p) == code for p, (_, _, code) in w._rows.items())
+
+
+def foreign_rows():
+    """The corpus of test_world_memo_keeps_no_foreign_atom."""
+    inner = parse_proposition("P(1)")
+    corpus = [parse_proposition(t) for t in (
+        "Q(1)", "~Q(*)", "#6(1)", "P(3)", "~ON(7)", "NT(*)", "~Tr(1)", "Err(*)",
+        "NT(14)")]
+    return corpus + [Proposition(True, P, ObjectRef("nested", 0, inner)),
+                     Proposition(False, ON, ObjectRef("nested", 0, negate(inner)))]
+
+
+def test_row_memo_keeps_no_foreign_atom():
+    # each row alone, as on a fresh world: a sampled system is probed over
+    # the rows checked, so a one-row corpus never collides
+    w = bridge_world()
+    # a builtin literal is in the world's index, yet not world-evaluable
+    nt_world = lambda: World.build({1}, {(PredicateCode("NT"), 1, True), (P, 1, True)})
+    nt = nt_world()
+    for config in BRIDGE_CHANNELS.values():
+        for p in foreign_rows():
+            assert (outcome(lambda: verify_bridge(make_channel(config), w, [p]).to_json())
+                    == outcome(lambda: verify_bridge(
+                        make_channel(config), bridge_world(), [p]).to_json()))
+        assert (outcome(verify_bridge, make_channel(config), nt, ground_corpus(nt))
+                == outcome(reference_verify_bridge, make_channel(config), nt_world(),
+                           ground_corpus(nt)))
+    assert w._rows == {}
+    assert set(nt._rows) == {parse_proposition("P(1)"), parse_proposition("~P(1)")}
+
+
+def test_bridge_rows_are_shared_only_when_equal():
+    w = bridge_world()
+    corpus = ground_corpus(w)
+    reports = bridge_reports(w, list(BRIDGE_CHANNELS) * 2, corpus)
+    shared = 0
+    for a, b in itertools.combinations(reports, 2):
+        for x, y in zip(a.rows[:-1], b.rows[:-1]):
+            assert (x is y) == (x == y)
+            shared += x is y
+    assert shared > 0
+    perfect, substitute = reports[:2]
+    assert all(x is y for x, y in zip(perfect.rows[:-1], reports[-2].rows[:-1]))
+    assert [x is y for x, y in zip(perfect.rows, substitute.rows)] == [
+        not holds(w, p) for p in corpus] + [False]
+
+
+def test_bridge_rows_are_frozen():
+    w = bridge_world()
+    row = verify_bridge(make_channel({}), w, ground_corpus(w)).rows[0]
+    with pytest.raises(FrozenInstanceError):
+        row.truth = not row.truth
