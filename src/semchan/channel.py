@@ -166,12 +166,15 @@ class Channel:
     uses: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Transcript:
     """Replayable record of one transmit.
 
     Stores what was sent and received; the text and bit-string forms are
-    rendered from those facts when read.
+    rendered from those facts when read.  A report, not a value: a plain
+    slotted record, mutable and not hashable, because each transmit builds
+    one and the library never keeps it, so it skips a frozen record's
+    per-field cost.  The propositions it holds are frozen values.
     """
 
     sent_proposition: Proposition
@@ -295,7 +298,7 @@ def transmit(c: Channel, p: Proposition) -> Transcript:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ActivenessReport:
     injective: bool
     collision: Optional[tuple[str, str]] = None

@@ -97,7 +97,7 @@ def build_Bprime(t: EnumerationTable, n: int, nt_form: bool = False) -> Frame:
     return encode_frame(_about(False, TR, _cell(t, n, False)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FixedPointReport:
     k: int
     k_prime: int
@@ -153,7 +153,7 @@ def build_Err_all() -> Frame:
     return encode_frame(Proposition(True, ERR, ObjectRef.all_objects()))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceStep:
     assumption: str
     consequence: str
@@ -167,7 +167,7 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ParadoxReport:
     frame: Frame
     structural_fidelity: bool

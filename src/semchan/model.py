@@ -40,8 +40,8 @@ class InconsistentWorldError(ValueError):
 class PredicateCode:
     """Predicate identifier: either a printable name or a positive index.
 
-    ``value`` is a ``str`` for the name form and an ``int`` for the
-    numeric-index form.  The names NT, Tr and Err are reserved builtins
+    ``value`` is a ``str`` for the name form and an ``int`` (not a ``bool``)
+    for the numeric-index form.  The names NT, Tr and Err are reserved builtins
     (recognized case-sensitively).
     """
 
@@ -52,7 +52,7 @@ class PredicateCode:
         if isinstance(v, str):
             if not v or len(v) > MAX_NAME_LEN or not _NAME_RE.fullmatch(v):
                 raise ValueError(f"invalid predicate name: {v!r}")
-        elif isinstance(v, int):
+        elif type(v) is int:  # not a bool: True == 1 but renders '#True'
             if v < 1:
                 raise ValueError(f"predicate index must be >= 1, got {v}")
         else:
@@ -80,6 +80,9 @@ class ObjectRef:
 
     def __post_init__(self):
         if self.kind == "number":
+            if type(self.number) is not int:  # a bool or 5.0 renders otherwise
+                raise TypeError(
+                    f"object number must be an int, got {type(self.number)}")
             if not (1 <= self.number <= MAX_OBJECT_NUMBER):
                 raise ValueError(
                     f"object number out of range 1..2^64-1: {self.number}"
@@ -239,7 +242,8 @@ class World:
     false for both polarities' assertions.  Construction indexes the literals
     as predicate value -> object -> polarity, and ``holds`` reads that index.
 
-    Every domain object is an object number, 1..2^64-1, as in ``ObjectRef``.
+    Every domain object is an object number, an int in 1..2^64-1, as in
+    ``ObjectRef``.
 
     A world also keeps two private memos over its own atoms (``_owns``): a
     non-builtin predicate of its literals with ``*`` or a domain object, in
@@ -257,10 +261,11 @@ class World:
     literals: FrozenSet[Tuple[PredicateCode, int, bool]]
 
     def __post_init__(self):
-        out_of_range = [m for m in self.domain if not 1 <= m <= MAX_OBJECT_NUMBER]
-        if out_of_range:
-            raise ValueError(
-                f"object number out of range 1..2^64-1: {min(out_of_range)}")
+        bad = [m for m in self.domain
+               if type(m) is not int or not 1 <= m <= MAX_OBJECT_NUMBER]
+        if bad:  # raise ObjectRef's error, for a non-int if any, else the smallest
+            wrong = [m for m in bad if type(m) is not int]
+            ObjectRef.num(wrong[0] if wrong else min(bad))
         index: dict[str | int, dict[int, bool]] = {}
         for pred, obj, pol in self.literals:
             row = index.get(pred.value)

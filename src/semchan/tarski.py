@@ -154,7 +154,7 @@ class BridgeRow:
     diagonal: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BridgeReport:
     corpus_size: int
     rows: tuple[BridgeRow, ...]

@@ -21,8 +21,14 @@ NON_TRANSFERABLE = "NonTransferable"
 PARADOXICAL = "Paradoxical"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Verdict:
+    """A transferability verdict and the transcript behind it.
+
+    A report, like ``Transcript``: a plain slotted record, mutable and not
+    hashable, because each check builds one and the library never keeps it.
+    """
+
     kind: str
     evidence: Optional[Transcript] = None
     notes: tuple[str, ...] = ()

@@ -162,7 +162,7 @@ def encode(p: Proposition) -> bytes:
     return _framed(fields_body(*frame_fields(p)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Diagnostic:
     """One receive event: kind is 'garbage', 'crc', 'body', 'version',
     'truncated' or 'undecodable'; offset is into the scanned stream (the

@@ -158,6 +158,21 @@ def test_object_validation():
         ObjectRef.num(2**64)
 
 
+@pytest.mark.parametrize("build, got", [
+    (lambda: PredicateCode(True), "predicate value must be str or int, got <class 'bool'>"),
+    (lambda: ObjectRef.num(True), "object number must be an int, got <class 'bool'>"),
+    (lambda: ObjectRef("number", 5.0), "object number must be an int, got <class 'float'>"),
+    (lambda: World.build({1.5}, {(PredicateCode("P"), 1.5, True)}), "<class 'float'>"),
+    (lambda: World.build({True}, set()), "<class 'bool'>"),
+    (lambda: World.build({0, 2.0}, set()), "<class 'float'>"),  # before range
+], ids=["index-bool", "number-bool", "number-float", "domain-float", "domain-bool",
+        "domain-float-and-zero"])
+def test_model_takes_exact_ints(build, got):
+    # True == 1, but #True(True) would render and not parse back
+    with pytest.raises(TypeError, match=re.escape(got)):
+        build()
+
+
 def test_nesting_depth_cap():
     f = encode_frame(parse_proposition("P(1)"))
     for _ in range(7):

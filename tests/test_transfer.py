@@ -1,13 +1,27 @@
+import dataclasses
 import hashlib
 import json
 
+import pytest
+
 from semchan import (
+    PerfectTS,
+    World,
+    analyze_self_reference,
+    build_enumeration,
+    build_NT_all,
     check_transferable,
     encode_frame,
     eval_NT,
     eval_Tr,
+    find_fixed_point,
+    ground_corpus,
     make_channel,
     parse_proposition,
+    receive,
+    transmit,
+    verify_activeness,
+    verify_bridge,
 )
 from semchan.transfer import NON_TRANSFERABLE, TRANSFERABLE
 
@@ -94,3 +108,61 @@ def test_verdict_json_digest_pinned():
             h.update(json.dumps(check_transferable(c, p).to_json()).encode())
     assert h.hexdigest() == (
         "9e119d19368309a53b4ca19d51ec26128b0b617e1ff3b95402da816152e94cfc")
+
+
+def _paradox():
+    return analyze_self_reference(make_channel({}), build_NT_all())
+
+
+def _world():
+    return World.build({1, 2}, {(ON112.predicate, 1, True)})
+
+
+def _bridge():
+    w = _world()
+    return verify_bridge(make_channel({}), w, ground_corpus(w))
+
+
+# reports: each call builds one, returns it and never keeps it
+REPORTS = {
+    "Transcript": lambda: transmit(make_channel({}), ON112),
+    "ActivenessReport": lambda: verify_activeness(PerfectTS(), [ON112]),
+    "Verdict": lambda: check_transferable(make_channel({}), ON112),
+    "Diagnostic": lambda: receive(b"xy")[1][0],
+    "TraceStep": lambda: _paradox().case_trace[0],
+    "ParadoxReport": _paradox,
+    "FixedPointReport": lambda: find_fixed_point(build_enumeration([ON112.predicate], 2)),
+    "BridgeReport": _bridge,
+}
+
+# values: hashed, used as dict keys, or shared between frames and reports
+VALUES = {
+    "PredicateCode": lambda: ON112.predicate,
+    "ObjectRef": lambda: ON112.object,
+    "Proposition": lambda: ON112,
+    "World": _world,
+    "Frame": lambda: encode_frame(ON112),
+    "EnumerationTable": lambda: build_enumeration([ON112.predicate], 2),
+    "BridgeRow": lambda: _bridge().rows[0],
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_reports_are_plain_slotted_records(name):
+    r = REPORTS[name]()
+    assert type(r).__name__ == name
+    assert not hasattr(r, "__dict__")
+    copy = dataclasses.replace(r)
+    assert copy == r and copy is not r
+    with pytest.raises(TypeError):
+        hash(r)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_stay_frozen_and_hashable(name):
+    v = VALUES[name]()
+    assert type(v).__name__ == name
+    field = dataclasses.fields(v)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(v, field, getattr(v, field))
+    assert hash(v) == hash(VALUES[name]())
