@@ -159,9 +159,9 @@ def test_object_validation():
 
 
 @pytest.mark.parametrize("build, got", [
-    (lambda: PredicateCode(True), "predicate value must be str or int, got <class 'bool'>"),
-    (lambda: ObjectRef.num(True), "object number must be an int, got <class 'bool'>"),
-    (lambda: ObjectRef("number", 5.0), "object number must be an int, got <class 'float'>"),
+    (lambda: PredicateCode(True), "must be str or int, got <class 'bool'>"),
+    (lambda: ObjectRef.num(True), "must be an int, got <class 'bool'>"),
+    (lambda: ObjectRef("number", 5.0), "must be an int, got <class 'float'>"),
     (lambda: World.build({1.5}, {(PredicateCode("P"), 1.5, True)}), "<class 'float'>"),
     (lambda: World.build({True}, set()), "<class 'bool'>"),
     (lambda: World.build({0, 2.0}, set()), "<class 'float'>"),  # before range

@@ -114,6 +114,10 @@ def _paradox():
     return analyze_self_reference(make_channel({}), build_NT_all())
 
 
+def _table():
+    return build_enumeration([ON112.predicate], 2)
+
+
 def _world():
     return World.build({1, 2}, {(ON112.predicate, 1, True)})
 
@@ -131,7 +135,7 @@ REPORTS = {
     "Diagnostic": lambda: receive(b"xy")[1][0],
     "TraceStep": lambda: _paradox().case_trace[0],
     "ParadoxReport": _paradox,
-    "FixedPointReport": lambda: find_fixed_point(build_enumeration([ON112.predicate], 2)),
+    "FixedPointReport": lambda: find_fixed_point(_table()),
     "BridgeReport": _bridge,
 }
 
@@ -142,7 +146,7 @@ VALUES = {
     "Proposition": lambda: ON112,
     "World": _world,
     "Frame": lambda: encode_frame(ON112),
-    "EnumerationTable": lambda: build_enumeration([ON112.predicate], 2),
+    "EnumerationTable": _table,
     "BridgeRow": lambda: _bridge().rows[0],
 }
 
