@@ -15,7 +15,7 @@ import os
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .model import Proposition, equivalent, render_proposition
 from .wire import encode, receive
@@ -48,9 +48,13 @@ class TransmissionSystem:
 
     kind = "abstract"
     seed = 0
-    # True when the system is one-to-one at every use by construction;
-    # None for truncate, whose injectivity depends on the corpus and is sampled
-    analytic_injective: Optional[bool] = None
+    # invert(data, n) undoes use n, so a system that has one is one-to-one by
+    # construction; one without (truncate) is sampled over a corpus instead
+    invert: Optional[Callable[[bytes, int], bytes]] = None
+
+    @property
+    def analytic_injective(self) -> bool:
+        return self.invert is not None
 
     def apply(self, data: bytes, n: int) -> bytes:
         raise NotImplementedError
@@ -58,10 +62,11 @@ class TransmissionSystem:
 
 class PerfectTS(TransmissionSystem):
     kind = "perfect"
-    analytic_injective = True
 
     def apply(self, data: bytes, n: int) -> bytes:
         return data
+
+    invert = apply
 
 
 class BitFlipTS(TransmissionSystem):
@@ -74,7 +79,6 @@ class BitFlipTS(TransmissionSystem):
     """
 
     kind = "bitflip"
-    analytic_injective = True
 
     def __init__(self, p: float, seed: int = 0):
         if not 0.0 <= p <= 1.0:
@@ -131,7 +135,6 @@ class SubstituteTS(TransmissionSystem):
     """Applies a bijective byte map; unspecified bytes map to themselves."""
 
     kind = "substitute"
-    analytic_injective = True
 
     def __init__(self, mapping: dict[int, int]):
         try:
@@ -140,21 +143,15 @@ class SubstituteTS(TransmissionSystem):
         except (AttributeError, TypeError, ValueError) as e:
             raise ChannelConfigError(
                 f"config field 'map' must map byte values to byte values: {e}") from None
-        table = list(range(256))
-        for k, v in zip(keys, values):
-            table[k] = v
-        if len(set(table)) != 256:
+        self.table = bytes.maketrans(keys, values)
+        if len(set(self.table)) != 256:
             raise ChannelConfigError("byte map is not a bijection")
-        self.table = bytes(table)
-        inverse = [0] * 256
-        for i, v in enumerate(self.table):
-            inverse[v] = i
-        self.inverse_table = bytes(inverse)
+        self.inverse_table = bytes.maketrans(self.table, bytes(range(256)))
 
     def apply(self, data: bytes, n: int) -> bytes:
         return data.translate(self.table)
 
-    def invert(self, data: bytes) -> bytes:
+    def invert(self, data: bytes, n: int) -> bytes:
         return data.translate(self.inverse_table)
 
 
@@ -247,6 +244,8 @@ def make_channel(config: dict) -> Channel:
     elif kind == "bitflip":
         p = config.get("p", 0.0)
         try:
+            if isinstance(p, bool):  # float() would take True as 1.0
+                raise TypeError
             p = float(p)
         except (TypeError, ValueError):
             raise ChannelConfigError(
@@ -309,7 +308,7 @@ def verify_activeness(ts: TransmissionSystem,
                       corpus: Iterable[Proposition]) -> ActivenessReport:
     """Check the one-to-one input/output condition over a corpus.
 
-    Analytically injective systems (every kind but truncate) report true
+    Systems with an inverse (every kind but truncate) report true
     without sampling; truncate is sampled with a frozen use counter and
     any collision exhibited.
     """

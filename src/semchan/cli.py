@@ -216,6 +216,14 @@ def cmd_send(args) -> int:
     return EXIT_OK
 
 
+def _port(text: str) -> int:
+    """argparse type for --port: a TCP port number, 0..65535, so a bad one
+    is a usage error before any socket is made."""
+    if not (text.isascii() and text.isdigit() and int(text) <= 65535):
+        raise argparse.ArgumentTypeError(f"port must be 0..65535, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semchan",
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("serve", cmd_serve, help="receive wire frames over TCP")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_port, required=True)
     p.add_argument("--analyze", action="store_true",
                    help="run self-reference analysis on builtin frames")
     p.add_argument("--expect", action="append",
@@ -272,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("send", cmd_send, help="send wire frames over TCP")
     p.add_argument("texts", nargs="+")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_port, required=True)
     p.add_argument("--flip-bit", type=int, default=None,
                    help="impairment proxy: flip this bit of the stream")
 

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .codec import decode_frame
-from .channel import (
-    BitFlipTS,
-    Channel,
-    PerfectTS,
-    SubstituteTS,
-    TransmissionSystem,
-    _sample_activeness,
-)
+from .channel import Channel, TransmissionSystem, _sample_activeness
 from .diagonal import build_enumeration, find_fixed_point
 from .model import ObjectRef, Proposition, World, holds, render_proposition
 from .wire import encode, frame_to_wire, receive
@@ -127,14 +120,10 @@ def _truth(c: Channel, w: World, probe: list[Proposition],
 def decoder_from_truth(truth: TruthPredicate,
                        ts: TransmissionSystem) -> Callable[..., bool]:
     """d(n', n) = truth(TS^{-1}(n')) for the n-th use (default 0), which
-    only a bit-flip system reads; requires an invertible system."""
-    if isinstance(ts, PerfectTS):
-        invert = lambda data, n: data
-    elif isinstance(ts, SubstituteTS):
-        invert = lambda data, n: ts.invert(data)
-    elif isinstance(ts, BitFlipTS):
-        invert = ts.invert
-    else:
+    only a bit-flip system reads; requires a system that defines
+    ``invert(data, n)``."""
+    invert = ts.invert
+    if invert is None:
         raise NotInvertibleError(
             f"transmission system {ts.kind!r} is not invertible")
 

@@ -131,6 +131,18 @@ def test_activeness_substitute_analytic():
     assert verify_activeness(ts, [ON112]).injective
 
 
+@pytest.mark.parametrize("config, invertible", [
+    ({"kind": "perfect"}, True),
+    ({"kind": "bitflip", "p": 0.1, "seed": 3}, True),
+    ({"kind": "substitute", "map": {"65": 66, "66": 65}}, True),
+    ({"kind": "truncate", "max_bits": 8}, False),
+])
+def test_analytic_injective_means_invertible(config, invertible):
+    ts = make_channel(config).ts
+    assert ts.analytic_injective is (ts.invert is not None)
+    assert ts.analytic_injective is invertible
+
+
 class ConstantTS(TransmissionSystem):
     kind = "constant"
 

@@ -192,6 +192,8 @@ def test_check_prints_received_and_verdict(capsys, bitflip_cfg):
     ({"kind": "truncate", "max_bits": "1_0"}, "'max_bits'"),
     ({"kind": "truncate", "max_bits": " 512"}, "'max_bits'"),
     ({"kind": "bitflip", "seed": "\u0663"}, "'seed'"),
+    # float() would take True as 1.0
+    ({"kind": "bitflip", "p": True}, "'p'"),
 ])
 def test_bad_channel_config_field_exit_2(capsys, tmp_path, config, field):
     path = tmp_path / "bad.json"
@@ -372,6 +374,22 @@ def test_send_connection_refused_exit_3(capsys):
     code = main(["send", "ON(112)", "--port", str(port)])
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["serve", "--once"], ["send", "ON(112)"]],
+                         ids=["serve", "send"])
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_port_out_of_range_is_usage_error_before_any_socket(capsys, monkeypatch,
+                                                            argv, port):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was made")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    code, out, err = run_cli(capsys, *argv, "--port", port)
+    assert code == 2
+    assert out == ""
+    assert f"argument --port: port must be 0..65535, got '{port}'" in err
 
 
 def test_nested_hex_grammar_error_has_offset(capsys):

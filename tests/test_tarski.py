@@ -30,7 +30,7 @@ from semchan import (
     verify_bridge,
 )
 from semchan.channel import (ActivenessReport, BitFlipTS, PerfectTS, SubstituteTS,
-                             TruncateTS)
+                             TransmissionSystem, TruncateTS)
 from semchan.tarski import BridgeRow, ChannelNotActiveError, NotInvertibleError
 from semchan.wire import encode
 
@@ -222,6 +222,29 @@ def test_decoder_from_truth_rejects_truncate():
     T = truth_from_channel(make_channel({}), w)
     with pytest.raises(NotInvertibleError):
         decoder_from_truth(T, TruncateTS(4))
+
+
+class XorTS(TransmissionSystem):
+    """A system defined outside the library that brings its own inverse."""
+
+    kind = "xor"
+
+    def apply(self, data, n):
+        return bytes(b ^ 0xFF for b in data)
+
+    invert = apply
+
+
+def test_decoder_from_truth_inverts_any_system_with_invert():
+    w = World.build({1, 2}, {(P, 1, True), (P, 2, False)})
+    T = truth_from_channel(make_channel({}), w)
+    ts = XorTS()
+    assert ts.analytic_injective
+    d = decoder_from_truth(T, ts)
+    for q in ground_corpus(w):
+        received = ts.apply(wire_code(q), 0)
+        assert received != wire_code(q)
+        assert d(received) == holds(w, q)
 
 
 def test_direction_a_composition_exhaustive():
