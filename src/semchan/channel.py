@@ -39,6 +39,29 @@ def _integer(value, what: str) -> int:
     raise ChannelConfigError(f"{what} must be an integer, got {value!r}")
 
 
+def _byte_values(values: list) -> bytes:
+    """Byte values read as ``_integer`` reads integers: ints that are not
+    bools, or strings of ASCII digits, each in 0..255; anything else raises
+    TypeError or ValueError.  One check over the joined strings, not one per
+    value, keeps a 256-entry JSON map about as cheap to read as plain
+    ``int()`` calls."""
+    try:
+        digits = "".join(values)  # all strings, as JSON keys are
+    except TypeError:
+        types = set(map(type, values))
+        if not types <= {int, str}:  # a bool, a float, None, ...
+            bad = next(v for v in values if type(v) not in (int, str))
+            raise TypeError(f"not an int or a string of digits: {bad!r}") from None
+        if str not in types:
+            return bytes(values)
+        digits = "".join(v for v in values if type(v) is str)
+    if digits and not (digits.isascii() and digits.isdigit()):
+        bad = next(v for v in values
+                   if type(v) is str and not (v.isascii() and v.isdigit()))
+        raise ValueError(f"not ASCII digits: {bad!r}")
+    return bytes(map(int, values))
+
+
 def _bytes_to_bits(data: bytes) -> str:
     return "".join(format(b, "08b") for b in data)
 
@@ -83,7 +106,7 @@ class BitFlipTS(TransmissionSystem):
     def __init__(self, p: float, seed: int = 0):
         if not 0.0 <= p <= 1.0:
             raise ChannelConfigError(f"flip probability out of [0,1]: {p}")
-        self.p = p
+        self.p = float(p)
         self.seed = seed
 
     def apply(self, data: bytes, n: int) -> bytes:
@@ -138,8 +161,8 @@ class SubstituteTS(TransmissionSystem):
 
     def __init__(self, mapping: dict[int, int]):
         try:
-            keys = bytes(map(int, mapping))
-            values = bytes(map(int, mapping.values()))
+            keys = _byte_values(list(mapping))
+            values = _byte_values(list(mapping.values()))
         except (AttributeError, TypeError, ValueError) as e:
             raise ChannelConfigError(
                 f"config field 'map' must map byte values to byte values: {e}") from None
@@ -243,13 +266,9 @@ def make_channel(config: dict) -> Channel:
         ts: TransmissionSystem = PerfectTS()
     elif kind == "bitflip":
         p = config.get("p", 0.0)
-        try:
-            if isinstance(p, bool):  # float() would take True as 1.0
-                raise TypeError
-            p = float(p)
-        except (TypeError, ValueError):
-            raise ChannelConfigError(
-                f"config field 'p' must be a number, got {p!r}") from None
+        # a JSON number only: float() would take True, " 1e-1 " and "٠.٥"
+        if type(p) not in (int, float):
+            raise ChannelConfigError(f"config field 'p' must be a number, got {p!r}")
         ts = BitFlipTS(p, seed)
     elif kind == "truncate":
         ts = TruncateTS(_integer(config.get("max_bits"), "config field 'max_bits'"))

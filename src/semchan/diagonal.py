@@ -28,7 +28,7 @@ TR = PredicateCode("Tr")
 ERR = PredicateCode("Err")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumerationTable:
     """Ordered predicate list with NT/Tr appended, over objects 1..max_n.
 

@@ -36,7 +36,7 @@ class InconsistentWorldError(ValueError):
     """Raised when a literal set asserts both polarities of an atom."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateCode:
     """Predicate identifier: either a printable name or a positive index.
 
@@ -70,7 +70,7 @@ class PredicateCode:
         return self.value if isinstance(self.value, str) else f"P_{self.value}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectRef:
     """Object of an atom: a number, all-objects, or a nested proposition."""
 
@@ -126,7 +126,7 @@ class ObjectRef:
         return nested_object(frame)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposition:
     """A signed 1-ary atom: polarity, predicate, object."""
 
@@ -254,7 +254,9 @@ class World:
     [row if T is false, row if T is true, wire code], each row built when a
     bridge first needs it, and is shared by the bridges over the world (see
     ``verify_bridge``); shared rows are why ``BridgeRow`` is frozen.  Neither
-    memo is a field, so equality, hashing and repr ignore them.
+    memo is a field, so equality, hashing and repr ignore them; the memos and
+    the index are set with ``object.__setattr__``, which is why ``World``,
+    unlike the other value records, keeps its ``__dict__`` and has no slots.
     """
 
     domain: FrozenSet[int]
@@ -300,8 +302,9 @@ class World:
             obj.kind == "all" or obj.kind == "number" and obj.number in self.domain)
 
     def predicates(self) -> list[PredicateCode]:
-        """Distinct predicates mentioned by the literal set, sorted."""
-        return sorted({pred for pred, _, _ in self.literals}, key=str)
+        """Distinct predicates mentioned by the literal set, sorted by str;
+        read from the index's keys, so the literals are not rescanned."""
+        return sorted(map(PredicateCode, self._index), key=str)
 
 
 def holds(w: World, p: Proposition) -> bool:

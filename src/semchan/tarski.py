@@ -135,12 +135,24 @@ def decoder_from_truth(truth: TruthPredicate,
 
 @dataclass(frozen=True, slots=True)
 class BridgeRow:
-    proposition: str
-    code_hex: str
+    """One row of a bridge: the atom checked (the decoded frame, on the
+    diagonal row), its wire code and the two truth values.  It keeps the
+    facts; ``proposition`` and ``code_hex`` are rendered when read."""
+
+    atom: Proposition
+    code: bytes
     truth: bool
     world_holds: Optional[bool]
     agree: Optional[bool]
     diagonal: bool = False
+
+    @property
+    def proposition(self) -> str:
+        return render_proposition(self.atom)
+
+    @property
+    def code_hex(self) -> str:
+        return self.code.hex()
 
 
 @dataclass(slots=True)
@@ -199,6 +211,8 @@ def verify_bridge(c: Channel, w: World,
     frozen.  T is still asked on every row, so uses, notes and errors are as
     without the memo, and a world's first bridge still decodes every row.
     Other rows (foreign atoms, builtins, nested objects) are never stored.
+    Rows keep their atom and code; only a failing row's text is rendered
+    here, for ``failures``.
     """
     corpus = list(corpus)
     memo = w._rows
@@ -222,8 +236,7 @@ def verify_bridge(c: Channel, w: World,
         row = None if entry is None else entry[t_val]  # False, True index 0, 1
         if row is None:
             h_val = holds(w, p)
-            row = BridgeRow(render_proposition(p), code.hex(), t_val, h_val,
-                            t_val == h_val)
+            row = BridgeRow(p, code, t_val, h_val, t_val == h_val)
             if entry is not None:
                 entry[t_val] = row
         if not row.agree:
@@ -236,9 +249,8 @@ def verify_bridge(c: Channel, w: World,
         table = build_enumeration(preds, max(len(preds), 1))
         star = find_fixed_point(table).frame_star
         star_code = frame_to_wire(star)
-        rows.append(BridgeRow(
-            render_proposition(decode_frame(star)), star_code.hex(),
-            truth(star_code), None, None, diagonal=True))
+        rows.append(BridgeRow(decode_frame(star), star_code, truth(star_code),
+                              None, None, diagonal=True))
 
     return BridgeReport(
         corpus_size=len(corpus),

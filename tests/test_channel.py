@@ -111,6 +111,21 @@ def test_substitute_rejects_non_bijection():
         make_channel({"kind": "substitute", "map": {1: 0, 2: 0}})
 
 
+def test_substitute_reads_ints_and_ascii_digit_strings_alike():
+    table = SubstituteTS({65: 66, 66: 65}).table
+    for mapping in ({"65": 66, "66": 65}, {"65": "66", 66: "065"}):
+        assert SubstituteTS(mapping).table == table
+    shuffled = list(range(256))
+    random.Random(5).shuffle(shuffled)
+    as_json = json.loads(json.dumps(dict(enumerate(shuffled))))
+    assert SubstituteTS(as_json).table == bytes(shuffled)
+
+
+@pytest.mark.parametrize("p", [0, 1, 0.25])
+def test_bitflip_p_is_a_json_number(p):
+    assert make_channel({"kind": "bitflip", "p": p}).ts.p == float(p)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ChannelConfigError):
         make_channel({"kind": "wormhole"})

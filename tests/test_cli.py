@@ -192,8 +192,24 @@ def test_check_prints_received_and_verdict(capsys, bitflip_cfg):
     ({"kind": "truncate", "max_bits": "1_0"}, "'max_bits'"),
     ({"kind": "truncate", "max_bits": " 512"}, "'max_bits'"),
     ({"kind": "bitflip", "seed": "\u0663"}, "'seed'"),
-    # float() would take True as 1.0
+    # float() would take True as 1.0, and these strings; p is a JSON number
     ({"kind": "bitflip", "p": True}, "'p'"),
+    ({"kind": "bitflip", "p": "\u0660.\u0665"}, "'p'"),
+    ({"kind": "bitflip", "p": " 1e-1 "}, "'p'"),
+    ({"kind": "bitflip", "p": "0.5"}, "'p'"),
+    # each map key and value is a byte value: an int or ASCII digits, in
+    # 0..255, as the other integer fields are read
+    ({"kind": "substitute", "map": {"+65": 66.9, "6_6": True, "\u0661": 65}}, "'map'"),
+    ({"kind": "substitute", "map": {"+65": 66}}, "'map'"),
+    ({"kind": "substitute", "map": {"6_6": 65}}, "'map'"),
+    ({"kind": "substitute", "map": {"\u0661": 65}}, "'map'"),
+    ({"kind": "substitute", "map": {"65": 66.9}}, "'map'"),
+    ({"kind": "substitute", "map": {"65": True}}, "'map'"),
+    ({"kind": "substitute", "map": {"65": None}}, "'map'"),
+    ({"kind": "substitute", "map": {"": 65}}, "'map'"),
+    ({"kind": "substitute", "map": {"-1": 65}}, "'map'"),
+    ({"kind": "substitute", "map": {"\u00b2": 65}}, "'map'"),
+    ({"kind": "substitute", "map": {"65": 256}}, "'map'"),
 ])
 def test_bad_channel_config_field_exit_2(capsys, tmp_path, config, field):
     path = tmp_path / "bad.json"

@@ -407,6 +407,18 @@ def test_world_and_holds_match_reference(inputs, queries):
         assert outcome(holds, got, p) == outcome(reference_holds, got, p)
 
 
+@given(st.frozensets(st.integers(1, 6), max_size=6),
+       st.dictionaries(
+           st.tuples(st.one_of(world_predicates, predicates,
+                               st.builds(PredicateCode, st.integers(1, 2**70))),
+                     st.integers(1, 6)),
+           st.booleans(), max_size=24))
+def test_world_predicates_match_a_scan_of_the_literals(domain, cells):
+    w = World.build(domain, {(pred, m, pol) for (pred, m), pol in cells.items()
+                             if m in domain})
+    assert w.predicates() == sorted({p for p, _, _ in w.literals}, key=str)
+
+
 @pytest.mark.parametrize("pol", [True, False])
 def test_all_objects_over_empty_domain_matches_reference(pol):
     w = World.build(set(), set())

@@ -303,6 +303,20 @@ def test_bridge_renderings():
     assert any(r["diagonal"] for r in doc["rows"])
 
 
+@pytest.mark.parametrize("config", ["perfect", "bitflip-1.0", "truncate-112-cuts"])
+def test_bridge_rows_keep_facts_and_render_on_read(config):
+    w = bridge_world()
+    corpus = ground_corpus(w) + [parse_proposition("Q(1)")]
+    report = verify_bridge(make_channel(BRIDGE_CHANNELS[config]), w, corpus)
+    assert [r.atom for r in report.rows[:-1]] == corpus
+    assert report.rows[-1].diagonal
+    for row in report.rows:
+        assert row.proposition == render_proposition(row.atom)
+        assert row.code_hex == row.code.hex()
+        assert type(row.code) is bytes
+    assert [r.code for r in report.rows[:-1]] == [encode(p) for p in corpus]
+
+
 @pytest.mark.parametrize("p", [0.2, 1.0])
 def test_bitflip_channel_builds_no_probe(monkeypatch, p):
     def no_probe(w):
@@ -372,10 +386,9 @@ def reference_verify_bridge(c, w, corpus):
         code = encode(p)
         t_val = truth(code)
         h_val = holds(w, p)
-        text = render_proposition(p)
         if t_val != h_val:
-            failures.append(text)
-        rows.append(BridgeRow(text, code.hex(), t_val, h_val, t_val == h_val))
+            failures.append(render_proposition(p))
+        rows.append(BridgeRow(p, code, t_val, h_val, t_val == h_val))
 
     preds = w.predicates() or sorted(
         {p.predicate for p in corpus if not p.predicate.is_builtin}, key=str)
@@ -384,7 +397,7 @@ def reference_verify_bridge(c, w, corpus):
         star = find_fixed_point(table).frame_star
         star_code = frame_to_wire(star)
         rows.append(BridgeRow(
-            render_proposition(decode_frame(star)), star_code.hex(),
+            decode_frame(star), star_code,
             truth(star_code), None, None, diagonal=True))
 
     return BridgeReport(
@@ -661,7 +674,7 @@ def test_second_bridge_encodes_and_renders_no_stored_row(monkeypatch):
     c = make_channel(BRIDGE_CHANNELS["truncate-512-fits"])
     report = verify_bridge(c, w, corpus)
     assert encoded == foreign[:2]  # ~ON(*) is the world's own atom
-    assert rendered[:-1] == foreign[:2] and rendered[-1] not in corpus  # the diagonal
+    assert rendered == []  # rows render their text only when read
     monkeypatch.undo()
     assert report.to_json() == reference_verify_bridge(
         make_channel(BRIDGE_CHANNELS["truncate-512-fits"]), bridge_world(),

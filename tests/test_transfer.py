@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -170,3 +172,7 @@ def test_values_stay_frozen_and_hashable(name):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(v, field, getattr(v, field))
     assert hash(v) == hash(VALUES[name]())
+    # slotted, except World, whose index and memos are not fields
+    assert hasattr(v, "__dict__") is (name == "World")
+    assert pickle.loads(pickle.dumps(v)) == v
+    assert copy.copy(v) == v
