@@ -161,14 +161,10 @@ def handle_stream(data: bytes, analyze: bool = False,
 
 
 def cmd_serve(args) -> int:
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     try:
-        srv.bind((args.host, args.port))
-        srv.listen(1)
+        srv = socket.create_server((args.host, args.port), backlog=1)
     except OSError as e:
         print(f"cannot listen on {args.host}:{args.port}: {e}", file=sys.stderr)
-        srv.close()
         return EXIT_IO
     last = EXIT_OK
     try:

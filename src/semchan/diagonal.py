@@ -192,10 +192,13 @@ def analyze_self_reference(c: Channel, f: Frame) -> ParadoxReport:
 
     Branch (i) assumes the received content is true and derives the
     claim's own instance; branch (ii) assumes the frame was not
-    transferred.  Each branch is compared against the observed round
-    trip; if both contradict, the verdict is Paradoxical.  A frame that
-    does not decode, nested frames included, is a FrameDecodeError (a
-    ValueError) raised before the channel is used.
+    transferred.  The verdict turns on structural fidelity alone.  An
+    intact round trip contradicts (ii): the verdict is Paradoxical when
+    the channel's execution also contradicts (i), else Transferable.  A
+    failed round trip leaves (i) unreachable and (ii) consistent, so the
+    verdict is NonTransferable.  A frame that does not decode, nested
+    frames included, is a FrameDecodeError (a ValueError) raised before
+    the channel is used.
     """
     p = decode_frame(f)
     if not p.predicate.is_builtin:
@@ -208,18 +211,10 @@ def analyze_self_reference(c: Channel, f: Frame) -> ParadoxReport:
     name = p.predicate.value
     asserted = p.polarity
     self_desc = "its own code" if p.object.kind == "all" else "the nested frame"
+    case_i, case_ii = "(i) received content is true", "(ii) frame was not transferred"
 
     observed: Optional[bool] = None
-    trace: list[TraceStep] = []
-
-    # branch (i): the received content is true
-    if not fidelity:
-        trace.append(TraceStep(
-            "(i) received content is true",
-            "no equivalent content was received; branch unreachable",
-            True,
-        ))
-    else:
+    if fidelity:
         target = p if p.object.kind == "all" else p.object.inner
         if name == "Err":  # byte-level error on the target's own transmission
             t = transcript if target is p else transmit(c, target)
@@ -228,45 +223,24 @@ def analyze_self_reference(c: Channel, f: Frame) -> ParadoxReport:
             observed = transmit(c, target).transferred == (name == "Tr")
         claim = f"{name} holds of {self_desc}" if asserted \
             else f"{name} fails of {self_desc}"
-        trace.append(TraceStep(
-            "(i) received content is true",
-            f"content implies {claim}: asserted {name}={asserted}, "
-            f"channel execution gives {name}={observed}",
-            asserted != observed,
-        ))
-    branch_i_ok = trace[-1].contradiction is False
-
-    # branch (ii): the frame was not transferred
-    if fidelity:
-        trace.append(TraceStep(
-            "(ii) frame was not transferred",
-            "round trip reproduced the frame (structural fidelity holds)",
-            True,
-        ))
+        trace = (
+            TraceStep(case_i, f"content implies {claim}: asserted {name}={asserted}, "
+                              f"channel execution gives {name}={observed}",
+                      asserted != observed),
+            TraceStep(case_ii, "round trip reproduced the frame "
+                               "(structural fidelity holds)", True),
+        )
+        kind = PARADOXICAL if asserted != observed else TRANSFERABLE
     else:
-        trace.append(TraceStep(
-            "(ii) frame was not transferred",
-            "round trip failed to reproduce the frame; assumption consistent",
-            False,
-        ))
-    branch_ii_ok = trace[-1].contradiction is False
-
-    if not branch_i_ok and not branch_ii_ok:
-        kind = PARADOXICAL
-    elif branch_i_ok:
-        kind = TRANSFERABLE
-    else:
+        trace = (
+            TraceStep(case_i, "no equivalent content was received; "
+                              "branch unreachable", True),
+            TraceStep(case_ii, "round trip failed to reproduce the frame; "
+                               "assumption consistent", False),
+        )
         kind = NON_TRANSFERABLE
-    verdict = Verdict(
-        kind,
-        transcript,
-        tuple(f"{s.assumption} -> {s.consequence}" for s in trace),
-    )
+    reasons = tuple(f"{s.assumption} -> {s.consequence}" for s in trace)
     return ParadoxReport(
-        frame=f,
-        structural_fidelity=fidelity,
-        asserted_self_instance=asserted,
-        observed_self_instance=observed,
-        case_trace=tuple(trace),
-        verdict=verdict,
-    )
+        frame=f, structural_fidelity=fidelity, asserted_self_instance=asserted,
+        observed_self_instance=observed, case_trace=trace,
+        verdict=Verdict(kind, transcript, reasons))

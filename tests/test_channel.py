@@ -97,6 +97,17 @@ def test_truncate_long_enough_passes():
     assert out.ok and equivalent(out.recv_proposition, ON112)
 
 
+def test_truncate_can_leave_one_frame_among_diagnostics():
+    # an index predicate whose bytes hold ON(112)'s whole wire frame: cut
+    # inside the outer frame, the stream still carries the inner one
+    index = int.from_bytes(b"\x01" + frame_to_wire(encode_frame(ON112)), "big")
+    p = Proposition(True, PredicateCode(index), ObjectRef.num(1))
+    c = make_channel({"kind": "truncate", "max_bits": 240})
+    out = transmit(c, p)
+    assert out.recv_proposition is None and not out.ok
+    assert out.error == "expected one clean frame, got 1 with 3 diagnostics"
+
+
 def test_substitute_bijection_roundtrip_fails_decode_but_is_injective():
     # swap two byte values; wire bytes change, so decode diverges
     c = make_channel({"kind": "substitute", "map": {0xA5: 0x5A, 0x5A: 0xA5}})

@@ -3,12 +3,14 @@ import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from semchan.cli import main
 
 FIG4_BITS = "101001111010011101110000"
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +87,13 @@ def test_decode_roundtrip(capsys):
 def test_decode_garbage_exit_2(capsys):
     code, _, _ = run_cli(capsys, "decode", "0011")
     assert code == 2
+
+
+def test_decode_bad_hex_exit_2(capsys):
+    code, out, err = run_cli(capsys, "decode", "zz")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bad hex: ")
 
 
 ON112_HEX = "a55a0100090100024f4e000001701537"
@@ -266,6 +275,15 @@ def test_demo_liar_json(capsys):
     assert doc["verdict"]["verdict"] == "Paradoxical"
 
 
+def test_demo_liar_over_a_channel_that_drops_everything(capsys):
+    code, out, _ = run_cli(capsys, "demo", "liar", "--channel",
+                           str(SAMPLES / "dropper.json"), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["structural_fidelity"] is False
+    assert doc["verdict"]["verdict"] == "NonTransferable"
+
+
 def test_bridge_agrees(capsys, perfect_cfg, world_file):
     code, out, _ = run_cli(capsys, "bridge", "--world", world_file,
                            "--channel", perfect_cfg, "--json")
@@ -392,20 +410,47 @@ def test_send_connection_refused_exit_3(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [["serve", "--once"], ["send", "ON(112)"]],
-                         ids=["serve", "send"])
-@pytest.mark.parametrize("port", ["70000", "-1"])
-def test_port_out_of_range_is_usage_error_before_any_socket(capsys, monkeypatch,
-                                                            argv, port):
+@pytest.fixture
+def no_sockets(monkeypatch):
+    """Fail the test if the command makes any socket."""
     def no_socket(*args, **kwargs):
         raise AssertionError("a socket was made")
 
-    monkeypatch.setattr(socket, "socket", no_socket)
-    monkeypatch.setattr(socket, "create_connection", no_socket)
+    for name in ("socket", "create_connection", "create_server"):
+        monkeypatch.setattr(socket, name, no_socket)
+
+
+@pytest.mark.parametrize("argv", [["serve", "--once"], ["send", "ON(112)"]],
+                         ids=["serve", "send"])
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_port_out_of_range_is_usage_error_before_any_socket(capsys, no_sockets,
+                                                            argv, port):
     code, out, err = run_cli(capsys, *argv, "--port", port)
     assert code == 2
     assert out == ""
     assert f"argument --port: port must be 0..65535, got '{port}'" in err
+
+
+def test_send_flip_bit_out_of_range_is_usage_error_before_any_socket(capsys,
+                                                                     no_sockets):
+    # ON(112) is a 16-byte wire frame, so its bits are 0..127
+    code, out, err = run_cli(capsys, "send", "ON(112)", "--port", "9",
+                             "--flip-bit", "999")
+    assert code == 2
+    assert out == ""
+    assert err == "flip-bit index out of range\n"
+
+
+def test_serve_on_a_port_in_use_exits_3():
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        # a subprocess with a timeout, so a bind that succeeded cannot hang
+        proc = subprocess.run(
+            [sys.executable, "-m", "semchan", "serve", "--port", str(port), "--once"],
+            capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert f"cannot listen on 127.0.0.1:{port}: " in proc.stderr
 
 
 def test_nested_hex_grammar_error_has_offset(capsys):

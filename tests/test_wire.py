@@ -198,9 +198,10 @@ def test_truncated_stream_diagnostic():
     assert any(d.kind == "truncated" for d in diags)
 
 
-def wrap(body: bytes) -> bytes:
-    """A CRC-valid version-1 wire frame around arbitrary BODY bytes."""
-    header = b"\x01" + len(body).to_bytes(2, "big")
+def wrap(body: bytes, version: int = VERSION) -> bytes:
+    """A CRC-valid wire frame around arbitrary BODY bytes (version 1 unless
+    another is given)."""
+    header = bytes([version]) + len(body).to_bytes(2, "big")
     return SYNC + header + body + crc16(header + body).to_bytes(2, "big")
 
 
@@ -238,7 +239,10 @@ TLV_BODIES = st.recursive(
 
 
 STREAMS = st.lists(st.one_of(st.binary(max_size=24), st.just(SYNC),
-                            st.binary(max_size=24).map(wrap), TLV_BODIES.map(wrap)),
+                            st.binary(max_size=24).map(wrap), TLV_BODIES.map(wrap),
+                            # a version other than 1, and a LEN one byte past the BODY
+                            TLV_BODIES.map(lambda body: wrap(body, version=2)),
+                            TLV_BODIES.map(lambda body: wrap(body + b"\x00"))),
                   max_size=6).map(b"".join)
 
 
@@ -554,6 +558,8 @@ def test_parse_body_matches_reference(body, cut, prefix, suffix, kind):
 
 
 @settings(max_examples=300)
+@example(wrap(b"\x01\x00\x02ON\x00\x00\x01\x70", version=2), 8 * 200)  # bad version
+@example(wrap(b"\x01\x00\x02ON\x00\x00\x01\x70\x00"), 8 * 200)  # trailing byte
 @given(STREAMS, st.integers(0, 8 * 200))
 def test_receive_matches_reference(stream, flip):
     assert receive(stream) == reference_receive(stream)
