@@ -63,7 +63,7 @@ def _byte_values(values: list) -> bytes:
 
 
 def _bytes_to_bits(data: bytes) -> str:
-    return "".join(format(b, "08b") for b in data)
+    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
 
 
 class TransmissionSystem:

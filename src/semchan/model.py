@@ -250,7 +250,9 @@ class World:
     both polarities, so each memo stays within 2 * |predicates| *
     (|domain| + 1) entries with no size option.  ``_evaluated`` maps
     received bytes -> ``holds`` value and is shared by the truth predicates
-    over the world (see ``truth_from_channel``).  ``_rows`` maps an atom ->
+    over the world (see ``truth_from_channel``); a bridge seeds it with each
+    own atom's code as it encodes the atom, the entry T would store once
+    that code arrives intact (see ``verify_bridge``).  ``_rows`` maps an atom ->
     [row if T is false, row if T is true, wire code], each row built when a
     bridge first needs it, and is shared by the bridges over the world (see
     ``verify_bridge``); shared rows are why ``BridgeRow`` is frozen.  Neither

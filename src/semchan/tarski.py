@@ -75,8 +75,10 @@ def truth_from_channel(c: Channel, w: World) -> TruthPredicate:
     memo keeps a received stream only when it decoded to exactly one
     proposition over w's own predicates and over '*' or a domain object, so
     noise cannot grow it past 2 * |predicates| * (|domain| + 1) entries.
-    Each call the predicate's table misses still advances the use counter
-    and applies TS, so uses, noise and notes are as without the memo.
+    A bridge seeds the same entries as it encodes its rows (see
+    ``verify_bridge``).  Each call the predicate's table misses still
+    advances the use counter and applies TS, so uses, noise and notes are as
+    without the memo.
     """
     probe = [] if c.ts.analytic_injective else ground_corpus(w)
     return _truth(c, w, probe, [encode(p) for p in probe])
@@ -208,11 +210,16 @@ def verify_bridge(c: Channel, w: World,
     its memo ``w._rows``: each of the world's own atoms (see ``World``) is
     encoded once per world, and its row for each truth value is built once
     and shared by every report that has it, which is why ``BridgeRow`` is
-    frozen.  T is still asked on every row, so uses, notes and errors are as
-    without the memo, and a world's first bridge still decodes every row.
-    Other rows (foreign atoms, builtins, nested objects) are never stored.
-    Rows keep their atom and code; only a failing row's text is rendered
-    here, for ``failures``.
+    frozen.  When an own atom p is first encoded, the truth memo
+    ``w._evaluated`` also gets code -> holds(w, p).  That entry is exact:
+    ``receive(encode(p))`` is ``([p], [])`` and ``holds`` never raises on an
+    own atom, so it is what T would store once the code arrives intact, and
+    a world's first bridge decodes only the received streams that are no
+    row's code (over perfect, the diagonal row's).  T is still asked on
+    every row, so uses, notes and errors are as without the memos.  Other
+    rows (foreign atoms, builtins, nested objects) are never stored.  Rows
+    keep their atom and code; only a failing row's text is rendered here,
+    for ``failures``.
     """
     corpus = list(corpus)
     memo = w._rows
@@ -224,6 +231,7 @@ def verify_bridge(c: Channel, w: World,
             code = encode(p)
             if w._owns(p):
                 entry = memo[p] = [None, None, code]
+                w._evaluated[code] = holds(w, p)  # receive(code) is ([p], [])
         else:
             code = entry[2]
         codes.append(code)
@@ -243,10 +251,10 @@ def verify_bridge(c: Channel, w: World,
             failures.append(row.proposition)
         rows.append(row)
 
-    preds = w.predicates() or sorted(
-        {p.predicate for p in corpus if not p.predicate.is_builtin}, key=str)
+    # any builtin row has already raised in holds
+    preds = w.predicates() or sorted({p.predicate for p in corpus}, key=str)
     if preds:
-        table = build_enumeration(preds, max(len(preds), 1))
+        table = build_enumeration(preds, len(preds))
         star = find_fixed_point(table).frame_star
         star_code = frame_to_wire(star)
         rows.append(BridgeRow(decode_frame(star), star_code, truth(star_code),

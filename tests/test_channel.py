@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semchan import (
     BitFlipTS,
@@ -23,7 +23,8 @@ from semchan import (
     transmit,
     verify_activeness,
 )
-from semchan.channel import ChannelConfigError, TransmissionSystem, append_transcript
+from semchan.channel import (ChannelConfigError, TransmissionSystem, _bytes_to_bits,
+                             append_transcript)
 
 from genprops import corpus
 
@@ -209,6 +210,13 @@ def test_seed_env_takes_ascii_digits_only(monkeypatch, seed):
         make_channel({"kind": "bitflip", "p": 0.5, "seed": 1})
 
 
+@pytest.mark.parametrize("max_bits", [-1, "-1", -2**70])
+def test_truncate_rejects_negative_max_bits(max_bits):
+    with pytest.raises(ChannelConfigError,
+                       match=f"^max_bits must be >= 0: {int(max_bits)}$"):
+        make_channel({"kind": "truncate", "max_bits": max_bits})
+
+
 def test_integer_strings_still_load(monkeypatch):
     monkeypatch.setenv("SEMCHAN_SEED", "-12")
     assert make_channel({"kind": "bitflip", "p": 0.5}).ts.seed == -12
@@ -314,6 +322,15 @@ def test_bitflip_matches_per_bit_reference(data, p, seed, n):
 def test_truncate_matches_bit_string_reference(data):
     for max_bits in range(len(data) * 8 + 10):
         assert TruncateTS(max_bits).apply(data, 0) == truncate_reference(data, max_bits)
+
+
+@settings(max_examples=200)
+@given(st.binary(max_size=300))
+@example(b"")
+@example(b"\x01")
+@example(bytes(range(256)))
+def test_bytes_to_bits_matches_per_byte_form(data):
+    assert _bytes_to_bits(data) == "".join(format(b, "08b") for b in data)
 
 
 TRANSCRIPT_CFGS = [

@@ -87,7 +87,9 @@ def test_parse_rejects_nested_frame_that_does_not_decode(body, reason):
     ("#12(<01000150030001>)", "truncated object field", 4),
     ("Err(<0100015003000170>)", "bad OTAG byte 0x03", 4),
     ("NT(<0100015000000170ff>)", "trailing bytes in nested frame", 3),
-], ids=["short", "pol", "truncated-object", "otag", "trailing"])
+    ("NT(<zz>)",
+     "bad nested hex: non-hexadecimal number found in fromhex() arg at position 0", 3),
+], ids=["short", "pol", "truncated-object", "otag", "trailing", "not-hex"])
 def test_parse_nested_grammar_error_carries_offset(text, message, offset):
     with pytest.raises(PropositionSyntaxError) as info:
         parse_proposition(text)
@@ -171,6 +173,36 @@ def test_model_takes_exact_ints(build, got):
     # True == 1, but #True(True) would render and not parse back
     with pytest.raises(TypeError, match=re.escape(got)):
         build()
+
+
+def nested_chain(depth):
+    """P(1) nested depth times under Q, built past the codec's own cap."""
+    p = parse_proposition("P(1)")
+    for _ in range(depth):
+        p = Proposition(True, PredicateCode("Q"), ObjectRef("nested", 0, p))
+    return p
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ObjectRef("number", 5, parse_proposition("P(1)")), ValueError,
+     "number object cannot nest a proposition"),
+    (lambda: ObjectRef("all", 3), ValueError, "all-objects marker carries no payload"),
+    (lambda: ObjectRef("all", 0, parse_proposition("P(1)")), ValueError,
+     "all-objects marker carries no payload"),
+    (lambda: ObjectRef("nested", 0, None), TypeError,
+     "nested object requires a Proposition"),
+    (lambda: ObjectRef("nested", 0, nested_chain(8)), ValueError,
+     "nesting depth exceeds 8"),
+    (lambda: ObjectRef("frame"), ValueError, "unknown object kind: 'frame'"),
+], ids=["number-with-inner", "all-with-number", "all-with-inner", "nested-without-inner",
+        "nested-too-deep", "unknown-kind"])
+def test_object_ref_rejects_a_payload_its_kind_does_not_carry(build, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        build()
+
+
+def test_object_ref_nests_up_to_the_depth_cap():
+    assert ObjectRef("nested", 0, nested_chain(7)).depth == 8
 
 
 def test_nesting_depth_cap():

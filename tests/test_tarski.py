@@ -4,6 +4,7 @@ import re
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, strategies as st
 
 from semchan import (
     BridgeReport,
@@ -290,6 +291,25 @@ def test_bridge_includes_flagged_diagonal_row():
     assert diag_rows[0].agree is None  # excluded from the agreement flag
     assert report.agree  # ground rows all agree despite the paradox row
     assert diag_rows[0].proposition.startswith("NT(<")
+
+
+def test_bridge_over_a_world_without_literals_reads_the_corpus_predicates():
+    # the world names no predicate, so the diagonal row is built over the
+    # corpus' ones; an empty corpus gives no diagonal row, and a builtin row
+    # is refused before the diagonal row is built
+    w = World.build({1, 2}, set())
+    q = PredicateCode("Q")
+    corpus = [parse_proposition(t) for t in ("Q(1)", "~P(*)", "Q(2)")]
+    report = verify_bridge(make_channel({}), w, corpus)
+    star = find_fixed_point(build_enumeration([P, q], 2)).frame_star
+    assert [r.diagonal for r in report.rows] == [False] * 3 + [True]
+    assert report.rows[-1].atom == decode_frame(star)
+    assert report.rows[-1].code == frame_to_wire(star)
+    assert report.to_json() == reference_verify_bridge(
+        make_channel({}), World.build({1, 2}, set()), corpus).to_json()
+    assert verify_bridge(make_channel({}), w, []).rows == ()
+    with pytest.raises(ValueError, match="builtin predicate NT"):
+        verify_bridge(make_channel({}), w, corpus + [parse_proposition("NT(1)")])
 
 
 def test_bridge_renderings():
@@ -639,8 +659,8 @@ def test_bytearray_system_matches_reference():
 
 
 # The bridges over one world share each atom's code and row records through
-# w._rows.  The tests below pin what it stores, what it spares and that a
-# world's first bridge still decodes every row.
+# w._rows.  The tests below pin what it stores, what it spares and what a
+# world's first bridge still decodes.
 
 def bridge_reports(w, names, corpus):
     """The bridge over each channel that is one-to-one on the corpus."""
@@ -681,22 +701,61 @@ def test_second_bridge_encodes_and_renders_no_stored_row(monkeypatch):
         corpus).to_json()
 
 
-def test_first_bridge_over_a_fresh_world_receives_every_row(monkeypatch):
-    w = bridge_world()
-    corpus = ground_corpus(w)
-    codes = [encode(p) for p in corpus]
+def test_first_bridge_over_a_fresh_world_receives_only_unseeded_streams(monkeypatch):
+    # as it encodes each own atom, the bridge seeds w._evaluated with that
+    # code's holds value, so T decodes only the received streams that are no
+    # row's code: over perfect, the diagonal row's alone
     received = []
 
     def counting_receive(stream):
-        received.append(stream)
+        received.append(bytes(stream))
         return receive(stream)
 
     monkeypatch.setattr("semchan.tarski.receive", counting_receive)
-    verify_bridge(make_channel({}), w, corpus)
-    assert received[:-1] == codes  # then the diagonal row
-    del received[:]
+    configs = {name: BRIDGE_CHANNELS[name] for name in ("perfect", "bitflip-0.2")}
+    # about one frame in three arrives intact, so both kinds of row occur
+    configs["bitflip-0.01"] = {"kind": "bitflip", "p": 0.01, "seed": 11}
+    for name, config in configs.items():
+        w = bridge_world()
+        corpus = ground_corpus(w)
+        codes = [encode(p) for p in corpus]
+        report = verify_bridge(make_channel(config), w, corpus)
+        ts = make_channel(config).ts
+        arrived = [bytes(ts.apply(code, n))
+                   for n, code in enumerate(codes + [report.rows[-1].code])]
+        assert received == [r for r in arrived if r not in codes], name
+        if name == "bitflip-0.01":
+            assert 1 < len(received) < len(arrived)
+        del received[:]
     verify_bridge(make_channel({}), w, corpus)
     assert len(received) == 1  # the diagonal row, a builtin: never remembered
+
+
+OWN_PREDICATES = st.one_of(
+    st.from_regex(r"[A-Za-z0-9-]{1,64}", fullmatch=True)
+    .filter(lambda name: not PredicateCode(name).is_builtin),
+    st.integers(1, 2**64)).map(PredicateCode)
+OWN_OBJECTS = st.one_of(st.integers(1, 2**64 - 1).map(ObjectRef.num),
+                        st.just(ObjectRef.all_objects()))
+
+
+@given(st.builds(Proposition, st.booleans(), OWN_PREDICATES, OWN_OBJECTS))
+def test_an_own_atom_code_receives_as_that_atom(p):
+    # why the bridge's seeded memo entries are exact: T would store holds(w, p)
+    # under exactly these bytes once they arrive intact
+    assert receive(encode(p)) == ([p], [])
+
+
+@pytest.mark.parametrize("name", list(BRIDGE_CHANNELS))
+def test_first_bridge_seeds_the_truth_memo_with_each_own_atom(name):
+    w = bridge_world()
+    objects = [ObjectRef.num(m) for m in sorted(w.domain)] + [ObjectRef.all_objects()]
+    own = [Proposition(pol, pred, obj)
+           for pred in w.predicates() for obj in objects for pol in (True, False)]
+    # the builtin rows raise in holds, and a colliding system in its probe,
+    # only after every row is encoded
+    outcome(verify_bridge, make_channel(BRIDGE_CHANNELS[name]), w, own + foreign_rows())
+    assert w._evaluated == {encode(p): holds(w, p) for p in own}
 
 
 def test_row_memo_is_bounded_by_its_atoms():
@@ -735,7 +794,7 @@ def test_row_memo_keeps_no_foreign_atom():
         assert (outcome(verify_bridge, make_channel(config), nt, ground_corpus(nt))
                 == outcome(reference_verify_bridge, make_channel(config), nt_world(),
                            ground_corpus(nt)))
-    assert w._rows == {}
+    assert w._rows == {} and w._evaluated == {}
     assert set(nt._rows) == {parse_proposition("P(1)"), parse_proposition("~P(1)")}
 
 

@@ -2,7 +2,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from semchan import (
     ObjectRef,
@@ -499,7 +499,11 @@ FRAMES = st.builds(
               st.just(("all",))))
 
 
-@settings(max_examples=300)
+# PREDICATE_FIELDS' st.text makes Hypothesis build its unicode charmap on the
+# first draw, a one-time cost of a few seconds when no .hypothesis/ directory
+# caches it yet; that cost is not slow input generation, so only too_slow is
+# suppressed
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(FRAMES)
 def test_body_bytes_and_frame_to_wire_match_reference(f):
     assert outcome(body_bytes, f) == outcome(reference_body_bytes, f)
