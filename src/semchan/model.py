@@ -134,6 +134,11 @@ class Proposition:
     predicate: PredicateCode
     object: ObjectRef
 
+    def __hash__(self) -> int:
+        # the fields == compares, in one call, not three generated __hash__es
+        o = self.object
+        return hash((self.polarity, self.predicate.value, o.kind, o.number, o.inner))
+
     def __str__(self) -> str:
         return render_proposition(self)
 
@@ -309,6 +314,11 @@ class World:
         return sorted(map(PredicateCode, self._index), key=str)
 
 
+def _not_evaluable(pred: PredicateCode) -> ValueError:
+    return ValueError(
+        f"builtin predicate {pred} is channel-relative, not world-evaluable")
+
+
 def holds(w: World, p: Proposition) -> bool:
     """Evaluate a ground atom against a world.
 
@@ -318,10 +328,7 @@ def holds(w: World, p: Proposition) -> bool:
     """
     value = p.predicate.value
     if value in BUILTIN_NAMES:
-        raise ValueError(
-            f"builtin predicate {p.predicate} is channel-relative, "
-            "not world-evaluable"
-        )
+        raise _not_evaluable(p.predicate)
     obj = p.object
     if obj.kind == "number":
         row = w._index.get(value)
@@ -337,7 +344,8 @@ def load_world(path: str) -> World:
 
     First non-comment line is ``domain: 1 2 3 ...``, whose objects are
     ASCII-digit NUMBERs as in the grammar; each following line is one
-    literal in the proposition grammar.  A ``#`` starts a comment unless an
+    literal in the proposition grammar, over a predicate other than the
+    builtins NT, Tr and Err.  A ``#`` starts a comment unless an
     ASCII digit follows it, as in the index predicate ``#5(1)``.
     A bad line raises a ValueError that starts ``path:line:``.
     """
@@ -360,6 +368,8 @@ def load_world(path: str) -> World:
                         domain.add(ObjectRef.num(int(tok)).number)
                     continue
                 p = parse_proposition(line)
+                if p.predicate.is_builtin:  # holds would refuse its rows
+                    raise _not_evaluable(p.predicate)
                 if p.object.kind != "number":
                     raise ValueError("world literals must use object numbers")
                 m = p.object.number

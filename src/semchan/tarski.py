@@ -19,7 +19,7 @@ from .codec import decode_frame
 from .channel import Channel, TransmissionSystem, _sample_activeness
 from .diagonal import build_enumeration, find_fixed_point
 from .model import ObjectRef, Proposition, World, holds, render_proposition
-from .wire import encode, frame_to_wire, receive
+from .wire import encode, frame_to_wire, receive_one
 
 log = logging.getLogger(__name__)
 
@@ -102,10 +102,9 @@ def _truth(c: Channel, w: World, probe: list[Proposition],
         value = evaluated.get(received)
         if value is not None:
             return value
-        props, diags = receive(received)
-        if len(props) != 1 or diags:
+        p = receive_one(received)
+        if p is None:
             return None
-        p = props[0]
         try:
             value = holds(w, p)
         except ValueError:
@@ -203,8 +202,8 @@ def verify_bridge(c: Channel, w: World,
     Each row is encoded, or its code looked up, before a sampled system
     (truncate) is probed over these rows' codes; over an empty corpus, over
     the world's ground corpus.  The diagonal fixed-point frame is appended as
-    a flagged row that is excluded from the agreement flag; its presence is
-    mandatory.
+    a flagged row excluded from the agreement flag, unless the world has no
+    literals and the corpus is empty, which leaves no predicate to build it.
 
     Only T(code) depends on the channel.  So the bridges over one world share
     its memo ``w._rows``: each of the world's own atoms (see ``World``) is
@@ -215,14 +214,16 @@ def verify_bridge(c: Channel, w: World,
     ``receive(encode(p))`` is ``([p], [])`` and ``holds`` never raises on an
     own atom, so it is what T would store once the code arrives intact, and
     a world's first bridge decodes only the received streams that are no
-    row's code (over perfect, the diagonal row's).  T is still asked on
+    row's code (over perfect, the diagonal row's).  Neither memo drops an
+    entry, so an own atom's row reads its holds value from ``w._evaluated``
+    and ``holds`` runs once per own atom per world.  T is still asked on
     every row, so uses, notes and errors are as without the memos.  Other
     rows (foreign atoms, builtins, nested objects) are never stored.  Rows
     keep their atom and code; only a failing row's text is rendered here,
     for ``failures``.
     """
     corpus = list(corpus)
-    memo = w._rows
+    memo, evaluated = w._rows, w._evaluated
     codes: list[bytes] = []
     entries: list[Optional[list]] = []  # [row if T false, row if T true, code]
     for p in corpus:
@@ -231,7 +232,7 @@ def verify_bridge(c: Channel, w: World,
             code = encode(p)
             if w._owns(p):
                 entry = memo[p] = [None, None, code]
-                w._evaluated[code] = holds(w, p)  # receive(code) is ([p], [])
+                evaluated[code] = holds(w, p)  # receive(code) is ([p], [])
         else:
             code = entry[2]
         codes.append(code)
@@ -243,7 +244,7 @@ def verify_bridge(c: Channel, w: World,
         t_val = truth(code)
         row = None if entry is None else entry[t_val]  # False, True index 0, 1
         if row is None:
-            h_val = holds(w, p)
+            h_val = holds(w, p) if entry is None else evaluated[code]
             row = BridgeRow(p, code, t_val, h_val, t_val == h_val)
             if entry is not None:
                 entry[t_val] = row
@@ -263,7 +264,7 @@ def verify_bridge(c: Channel, w: World,
     return BridgeReport(
         corpus_size=len(corpus),
         rows=tuple(rows),
-        agree=all(r.agree for r in rows if not r.diagonal),
+        agree=not failures,
         failures=tuple(failures),
         notes=tuple(truth.notes),
     )

@@ -21,9 +21,11 @@ BODY grammar:
     OBYTES          minimal big-endian nonzero number, or a nested BODY
 
 ``encode`` is the one send path: it serializes a proposition to its wire
-frame.  ``receive`` is the one receive path: it scans for SYNC, validates
+frame.  ``receive`` is the one scanner: it looks for SYNC, validates
 VER/LEN/CRC and the BODY grammar, and decodes each frame to a
 proposition.  Every failure is a diagnostic event, never an exception.
+``receive_one``, for a caller that would drop the diagnostics, only asks
+whether a stream is exactly one intact frame, with receive's checks.
 A frame whose framing or BODY fails resumes the scan at the byte after
 its SYNC; a frame whose framing and BODY hold but whose fields name no
 valid proposition, in any nested BODY too ("undecodable"), resumes at the
@@ -233,6 +235,22 @@ def receive(stream: bytes) -> tuple[list[Proposition], list[Diagnostic]]:
             diags.append(Diagnostic("undecodable", idx, str(e)))
         pos = end
     return props, diags
+
+
+def receive_one(stream: bytes) -> Proposition | None:
+    """p exactly when ``receive(stream) == ([p], [])``, else None; never
+    raises.  Only a stream that is one whole frame from its first byte
+    qualifies, so it builds no diagnostic and does not scan."""
+    length = len(stream) - 7
+    if (length < 0 or stream[:2] != SYNC or stream[2] != VERSION
+            or stream[3] << 8 | stream[4] != length
+            or stream[-2] << 8 | stream[-1] != crc16(stream[2:-2])):
+        return None
+    try:
+        fields, used = body_fields(stream[5:-2])
+        return decode_fields(*fields) if used == length else None
+    except (BodyError, FrameDecodeError):
+        return None
 
 
 def wire_to_frames(stream: bytes) -> tuple[list[Frame], list[Diagnostic]]:

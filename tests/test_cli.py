@@ -481,9 +481,13 @@ def test_encode_rejects_non_ascii_digits(capsys):
     ("domain: 1 +5\n", 1, "invalid literal for int() with base 10: '+5'"),
     ("domain: 1_0\n", 1, "invalid literal for int() with base 10: '1_0'"),
     ("domain: 1 \u0663\n", 1, "invalid literal for int() with base 10: '\u0663'"),
+    # holds would refuse every row of it, far from the line that listed it
+    ("domain: 1\nNT(1)\nP(1)\n", 2,
+     "builtin predicate NT is channel-relative, not world-evaluable"),
 ], ids=["no-header", "domain-not-integer", "domain-zero", "domain-too-large",
         "object-outside-domain", "both-polarities", "all-objects-literal",
-        "bad-literal", "domain-sign", "domain-underscore", "domain-non-ascii-digit"])
+        "bad-literal", "domain-sign", "domain-underscore", "domain-non-ascii-digit",
+        "builtin-literal"])
 def test_bad_world_file_names_the_line(capsys, perfect_cfg, tmp_path, text,
                                        lineno, reason):
     path = tmp_path / "bad.world"

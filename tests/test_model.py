@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -16,8 +17,9 @@ from semchan import (
     render_proposition,
 )
 from semchan.model import InconsistentWorldError, PropositionSyntaxError, load_world
+from semchan.wire import encode, receive
 
-from genprops import corpus
+from genprops import corpus, gen_proposition
 from test_codec import outcome
 
 names = st.text(
@@ -288,6 +290,18 @@ def test_world_rejects_object_numbers_out_of_range(domain, bad):
                        match=re.escape(f"object number out of range 1..2^64-1: {bad}")):
         World.build(domain, {(P, min(domain), True)})
     assert World.build({1, 2**64 - 1}, set()).domain == {1, 2**64 - 1}
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_separately_built_copies_hash_equal_and_find_the_entry(seed):
+    p = gen_proposition(random.Random(seed))
+    # p itself, and p as a nested object, so every draw has a nested one
+    for q in (p, Proposition(not p.polarity, p.predicate,
+                             ObjectRef.nested(encode_frame(p)))):
+        table = {q: seed}
+        for copy in (parse_proposition(render_proposition(q)), receive(encode(q))[0][0]):
+            assert copy is not q and copy == q and hash(copy) == hash(q)
+            assert table[copy] == seed
 
 
 def test_load_world(tmp_path):

@@ -33,7 +33,7 @@ from semchan import (
 from semchan.channel import (ActivenessReport, BitFlipTS, PerfectTS, SubstituteTS,
                              TransmissionSystem, TruncateTS)
 from semchan.tarski import BridgeRow, ChannelNotActiveError, NotInvertibleError
-from semchan.wire import encode
+from semchan.wire import encode, receive_one
 
 from test_codec import outcome
 
@@ -599,9 +599,9 @@ def test_world_memo_spares_the_second_decode(monkeypatch):
 
     def counting_receive(stream):
         received.append(stream)
-        return receive(stream)
+        return receive_one(stream)
 
-    monkeypatch.setattr("semchan.tarski.receive", counting_receive)
+    monkeypatch.setattr("semchan.tarski.receive_one", counting_receive)
     first = truth_from_channel(make_channel({}), w)
     assert [first(code) for code in codes] == [holds(w, p) for p in ground_corpus(w)]
     assert received == codes
@@ -709,9 +709,9 @@ def test_first_bridge_over_a_fresh_world_receives_only_unseeded_streams(monkeypa
 
     def counting_receive(stream):
         received.append(bytes(stream))
-        return receive(stream)
+        return receive_one(stream)
 
-    monkeypatch.setattr("semchan.tarski.receive", counting_receive)
+    monkeypatch.setattr("semchan.tarski.receive_one", counting_receive)
     configs = {name: BRIDGE_CHANNELS[name] for name in ("perfect", "bitflip-0.2")}
     # about one frame in three arrives intact, so both kinds of row occur
     configs["bitflip-0.01"] = {"kind": "bitflip", "p": 0.01, "seed": 11}

@@ -33,6 +33,7 @@ from semchan.wire import (
     body_bytes,
     encode,
     parse_body,
+    receive_one,
 )
 
 from genprops import corpus
@@ -206,6 +207,9 @@ def wrap(body: bytes, version: int = VERSION) -> bytes:
 
 
 ON112_WIRE = frame_to_wire(encode_frame(parse_proposition("ON(112)")))
+# LEN is one short of ON(112)'s 9-byte BODY, which the CRC covers whole
+_LEN_SHORT = b"\x01\x00\x08" + ON112_WIRE[5:-2]
+LEN_SHORT_WIRE = SYNC + _LEN_SHORT + crc16(_LEN_SHORT).to_bytes(2, "big")
 # ON(112) with name bytes ff fe: framing, CRC and BODY hold, decode fails
 BAD_NAME_WIRE = wrap(b"\x01\x00\x02\xff\xfe\x00\x00\x01\x70")
 
@@ -571,6 +575,26 @@ def test_receive_matches_reference(stream, flip):
         flipped = bytearray(stream)
         flipped[flip >> 3] ^= 0x80 >> (flip & 7)
         assert receive(bytes(flipped)) == reference_receive(bytes(flipped))
+
+
+@settings(max_examples=300)
+@example(ON112_WIRE, 7)  # one clean frame, and it with a SYNC bit flipped
+@example(ON112_WIRE, 8 * 8 + 7)  # and it with ON turned to NN under its CRC
+@example(ON112_WIRE + b"\x00", 8 * 200)  # a clean frame and one trailing byte
+@example(b"\x00" + ON112_WIRE, 8 * 200)  # one leading garbage byte
+@example(BAD_NAME_WIRE, 8 * 200)  # CRC-valid, undecodable
+@example(LEN_SHORT_WIRE, 8 * 200)  # the CRC holds, LEN does not
+@example(wrap(b"\x01\x00\x02ON\x00\x00\x01\x70", version=2), 8 * 200)  # version 2
+@given(STREAMS, st.integers(0, 8 * 200))
+def test_receive_one_is_receive_of_exactly_one_frame(stream, flip):
+    streams = [stream]
+    if flip < 8 * len(stream):
+        flipped = bytearray(stream)
+        flipped[flip >> 3] ^= 0x80 >> (flip & 7)
+        streams.append(bytes(flipped))
+    for s in streams:
+        props, diags = receive(s)
+        assert receive_one(s) == (props[0] if len(props) == 1 and not diags else None)
 
 
 @settings(max_examples=300)
