@@ -79,50 +79,26 @@ def encode_frame(p: Proposition) -> Frame:
     return Frame(*fields, None if inner is None else encode_frame(inner))
 
 
-# decoded predicates, by name bytes and by index bytes apart (b"5" names "5"
-# but indexes 53), and in-range number objects; cleared at the bound
-_SHARED_BOUND = 1024
-_names: dict[bytes, PredicateCode] = {}
-_indices: dict[bytes, PredicateCode] = {}
-_numbers: dict[int, ObjectRef] = {}
-_ALL = ObjectRef("all")
-
-
-def _share(table: dict, key, value):
-    if len(table) >= _SHARED_BOUND:
-        table.clear()
-    table[key] = value
-    return value
-
-
 def decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
-    """decode_frame of a frame given as its fields, in Frame's order.  Decoded
-    predicates and number objects are checked once and shared, not rebuilt;
-    each of their tables holds at most _SHARED_BOUND values."""
+    """decode_frame of a frame given as its fields, in Frame's order."""
     if ptag == "name":
-        pred = _names.get(pbytes)
-        if pred is None:
-            try:
-                pred = _share(_names, pbytes, PredicateCode(pbytes.decode("ascii")))
-            except (UnicodeDecodeError, ValueError) as e:
-                raise FrameDecodeError(f"bad predicate name bytes: {e}") from e
+        try:
+            pred = PredicateCode(pbytes.decode("ascii"))
+        except (UnicodeDecodeError, ValueError) as e:
+            raise FrameDecodeError(f"bad predicate name bytes: {e}") from e
     elif ptag == "index":
-        pred = _indices.get(pbytes)
-        if pred is None:
-            idx = int.from_bytes(pbytes, "big")
-            if idx < 1:
-                raise FrameDecodeError("zero predicate index")
-            pred = _share(_indices, pbytes, PredicateCode(idx))
+        idx = int.from_bytes(pbytes, "big")
+        if idx < 1:
+            raise FrameDecodeError("zero predicate index")
+        pred = PredicateCode(idx)
     else:
         raise FrameDecodeError(f"bad predicate tag: {ptag!r}")
     if kind == "number":
-        obj = _numbers.get(number)
-        if obj is None:
-            if not 1 <= number <= MAX_OBJECT_NUMBER:
-                raise FrameDecodeError(f"number object out of range 1..2^64-1: {number}")
-            obj = _share(_numbers, number, ObjectRef("number", number))
+        if not 1 <= number <= MAX_OBJECT_NUMBER:
+            raise FrameDecodeError(f"number object out of range 1..2^64-1: {number}")
+        obj = ObjectRef("number", number)
     elif kind == "all":
-        obj = _ALL
+        obj = ObjectRef("all")
     elif kind == "nested":
         obj = nested_object(nested)
     else:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import socket
 import subprocess
@@ -6,8 +8,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semchan.cli import main
+from semchan.cli import EXIT_IO, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 
 FIG4_BITS = "101001111010011101110000"
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -497,3 +500,99 @@ def test_bad_world_file_names_the_line(capsys, perfect_cfg, tmp_path, text,
     assert code == 2
     assert out == ""
     assert err == f"error: {path}:{lineno}: {reason}\n"
+
+
+# The exit-code contract over arbitrary input: every subcommand returns 0, 1,
+# 2 or 3 without raising, and under --json prints nothing or one JSON document.
+
+PROPOSITION_TEXTS = st.one_of(
+    st.sampled_from(["ON(112)", "~ON(112)", "NT(*)", "#5(1)", "P(0)", "P(٣)",
+                     "Tr(<010002504e000001>)", "NT(<010002fffe00000170>)",
+                     "NT(<01>)", "-x", ""]),
+    st.text(max_size=30),
+)
+HEX_TEXTS = st.one_of(
+    st.sampled_from([ON112_HEX, ON112_HEX + ON112_HEX, BAD_NAME_HEX, BAD_NESTED_HEX,
+                     BAD_NAME_HEX + ON112_HEX, "zz", "0011", ""]),
+    st.binary(max_size=40).map(bytes.hex),
+    st.text(max_size=30),
+)
+# a file argument's bytes: None for a missing file, "dir" for a directory;
+# each kind of file is well formed about half the time
+BAD_FILES = st.one_of(
+    st.sampled_from([None, "dir", b"", b'{"kind":', b"[1]", b"domain: 1 2\nP(1\n",
+                     b"P\nP\n", b"#5\n", b"\xff"]),
+    st.text(max_size=60).map(str.encode),
+    st.binary(max_size=60),
+)
+CHANNEL_FILES = st.one_of(BAD_FILES, st.sampled_from([
+    b'{"kind": "perfect"}', b'{"kind": "bitflip", "p": 0.5, "seed": 3}',
+    b'{"kind": "truncate", "max_bits": 9}',
+    b'{"kind": "substitute", "map": {"80": 81, "81": 80}}']))
+WORLD_FILES = st.one_of(BAD_FILES, st.sampled_from([
+    b"domain: 1 2\nP(1)\n~Q(2)\n", b"domain: 1\n#5(1)\n", b"domain: 3\n"]))
+PREDICATE_FILES = st.one_of(BAD_FILES, st.sampled_from([
+    b"P\nQ\n", b"NT\nTr\nP\n", b"A  # a comment\n\nB\n"]))
+
+
+def file_argument(directory: Path, name: str, contents) -> str:
+    path = directory / name
+    if path.is_dir():
+        path.rmdir()
+    elif path.exists():
+        path.unlink()
+    if contents == "dir":
+        path.mkdir()
+    elif contents is not None:
+        path.write_bytes(contents)
+    return str(path)
+
+
+@st.composite
+def command_lines(draw, directory: Path):
+    """An argv for one subcommand, with its file arguments written to directory."""
+    command = draw(st.sampled_from(
+        ["encode", "decode", "transmit", "check", "diagonalize", "demo", "bridge"]))
+
+    def file_arg(name, contents):
+        return file_argument(directory, name, draw(contents))
+
+    if command == "encode":
+        argv = [command, draw(PROPOSITION_TEXTS), "--format",
+                draw(st.sampled_from(["bits", "hex"]))]
+    elif command == "decode":
+        argv = [command, draw(HEX_TEXTS)]
+    elif command in ("transmit", "check"):
+        argv = [command, draw(PROPOSITION_TEXTS),
+                "--channel", file_arg("channel", CHANNEL_FILES)]
+        if command == "transmit" and draw(st.booleans()):
+            argv += ["--transcript", str(directory / draw(
+                st.sampled_from(["t.jsonl", "missing/t.jsonl"])))]
+    elif command == "diagonalize":
+        argv = [command, "--predicates", file_arg("predicates", PREDICATE_FILES),
+                "--max-n", draw(st.sampled_from(["1", "3", "0", "-1", "x"]))]
+    elif command == "demo":
+        argv = [command, draw(st.sampled_from(["liar", "err", "truth"]))]
+        if draw(st.booleans()):
+            argv += ["--channel", file_arg("channel", CHANNEL_FILES)]
+    else:
+        argv = [command, "--world", file_arg("world", WORLD_FILES),
+                "--channel", file_arg("channel", CHANNEL_FILES)]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract_holds_for_every_subcommand(contract_dir, data):
+    argv = data.draw(command_lines(contract_dir), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_IO)
+    if "--json" in argv and out.getvalue():
+        json.loads(out.getvalue())

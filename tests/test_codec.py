@@ -13,7 +13,6 @@ from semchan import (
     parse_proposition,
     payload_bits,
 )
-from semchan import codec
 from semchan.codec import Frame, FrameDecodeError, decode_fields
 
 from genprops import corpus, gen_proposition
@@ -242,10 +241,9 @@ def test_codec_matches_reference_on_corpus():
         assert decode_frame(f) == reference_decode_frame(f)
 
 
-# Reference decoder: decode_fields as it was before it shared decoded
-# predicate and number values.  Every decode must match it: an equal
-# result, or the same exception type and message, on first sight of its
-# fields and on every later one.
+# Reference decoder: decode_fields written check by check.  Every decode
+# must match it: an equal result, or the same exception type and message,
+# whatever was decoded before it.
 
 def reference_nested_object(f: Frame) -> ObjectRef:
     if f.depth >= 8:
@@ -317,23 +315,13 @@ FIELDS = st.one_of(
           (True, "index", b"\x05", "all", 0, None)])
 @example([(False, "index", b"\x00", "number", 2**64 - 1, None),
           (False, "name", b"\x00", "number", 2**64, None)])
+@example([(True, "name", b"P", "number", 1, None),
+          (True, "name", b"P", "number", True, None)])
+@example([(True, "name", b"P", "number", 5, None),
+          (True, "name", b"P", "number", 5.0, None)])
 @given(st.lists(FIELDS, min_size=1, max_size=6))
 def test_decode_fields_matches_reference(field_tuples):
     for _ in range(2):
         for fields in field_tuples:
             assert (outcome(decode_fields, *fields)
                     == outcome(reference_decode_fields, *fields))
-
-
-def test_shared_values_stay_bounded():
-    bound = codec._SHARED_BOUND
-    tables = codec._names, codec._indices, codec._numbers
-    for i in range(1, 3 * bound + 1):
-        for fields in [(True, "name", b"N%d" % i, "number", i, None),
-                       (False, "index", minimal_bytes(i), "all", 0, None)]:
-            assert decode_fields(*fields) == reference_decode_fields(*fields)
-        assert all(len(table) <= bound for table in tables)
-    # the first values were dropped by a clear; they decode as before
-    for i in (1, 2, bound + 1, 3 * bound):
-        fields = (True, "index", minimal_bytes(i), "number", i, None)
-        assert decode_fields(*fields) == reference_decode_fields(*fields)
