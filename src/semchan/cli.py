@@ -21,7 +21,8 @@ from .diagonal import (
     build_enumeration,
     find_fixed_point,
 )
-from .model import PredicateCode, load_world, parse_proposition, render_proposition
+from .model import (_COMMENT_RE, PredicateCode, load_world, parse_proposition,
+                    render_proposition)
 from .tarski import ground_corpus, verify_bridge
 from .transfer import TRANSFERABLE, check_transferable
 from .wire import encode, receive
@@ -77,18 +78,21 @@ def cmd_transmit(args) -> int:
 
 
 def _load_predicates(path: str) -> list[PredicateCode]:
+    """One predicate name a line; comments as in a world file."""
     preds = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                preds.append(PredicateCode(line))
+        for lineno, raw in enumerate(fh, 1):
+            if line := _COMMENT_RE.split(raw, 1)[0].strip():
+                try:
+                    preds.append(PredicateCode(line))
+                except ValueError as e:
+                    raise ValueError(f"{path}:{lineno}: {e}") from None
     return preds
 
 
 def cmd_diagonalize(args) -> int:
     preds = _load_predicates(args.predicates)
-    table = build_enumeration(preds, args.max_n)
+    table = build_enumeration(preds, len(preds) + 2)
     report = find_fixed_point(table)
     text = (
         f"k (index of NT)  = {report.k}\n"
@@ -151,6 +155,9 @@ def handle_stream(data: bytes, analyze: bool = False,
         if analyze and p.predicate.is_builtin and p.object.kind != "number":
             report = analyze_self_reference(make_channel({}), encode_frame(p))
             lines.extend(_paradox_text(report).splitlines())
+    for text in (expected or [])[len(props):]:
+        lines.append(f"{text}  [MISSING]")
+        code = EXIT_NEGATIVE
     for d in diags:
         if d.kind == "undecodable":
             lines.append(f"frame {d.offset}: undecodable ({d.detail})")
@@ -253,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("diagonalize", cmd_diagonalize, help="build the diagonal fixed point")
     p.add_argument("--predicates", required=True,
                    help="file with one predicate name per line")
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
 
     p = add("demo", cmd_demo, help="run the liar / channel-error paradox")
     p.add_argument("which", choices=["liar", "err"])

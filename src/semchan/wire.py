@@ -21,11 +21,12 @@ BODY grammar:
     OBYTES          minimal big-endian nonzero number, or a nested BODY
 
 ``encode`` is the one send path: it serializes a proposition to its wire
-frame.  ``receive`` is the one scanner: it looks for SYNC, validates
-VER/LEN/CRC and the BODY grammar, and decodes each frame to a
-proposition.  Every failure is a diagnostic event, never an exception.
-``receive_one``, for a caller that would drop the diagnostics, only asks
-whether a stream is exactly one intact frame, with receive's checks.
+frame.  ``receive`` is the one scanner: it looks for SYNC and runs one
+frame check at each, which validates LEN/CRC/VER and the BODY grammar
+and decodes the frame to a proposition.  Every failure is a diagnostic
+event, never an exception.  ``receive_one``, for a caller that would drop
+the diagnostics, runs the same frame check at offset 0, with no scan, and
+accepts only one intact frame that fills the stream.
 A frame whose framing or BODY fails resumes the scan at the byte after
 its SYNC; a frame whose framing and BODY hold but whose fields name no
 valid proposition, in any nested BODY too ("undecodable"), resumes at the
@@ -178,6 +179,38 @@ class Diagnostic:
         return f"{self.kind}@{self.offset}: {self.detail}"
 
 
+def _frame_at(stream: bytes, idx: int) -> tuple[Proposition | Diagnostic, int]:
+    """Check the frame whose SYNC is at idx: header, LEN, CRC, VER, BODY,
+    decode.  Returns (proposition, frame end) or (diagnostic, the offset
+    where the scan resumes)."""
+    n = len(stream)
+    if n - idx < 7:
+        return Diagnostic("truncated", idx,
+                          "incomplete frame header at end of stream"), n
+    length = stream[idx + 3] << 8 | stream[idx + 4]
+    end = idx + 7 + length
+    if end > n:
+        return Diagnostic("truncated", idx,
+                          "frame extends past end of stream"), idx + 1
+    crc_got = stream[end - 2] << 8 | stream[end - 1]
+    crc_want = crc16(stream[idx + 2:end - 2])
+    if crc_got != crc_want:
+        return Diagnostic("crc", idx, f"CRC mismatch: got 0x{crc_got:04X}, "
+                          f"want 0x{crc_want:04X}"), idx + 1
+    ver = stream[idx + 2]
+    if ver != VERSION:
+        return Diagnostic("version", idx, f"bad version 0x{ver:02x}"), idx + 1
+    try:
+        fields, used = body_fields(stream[idx + 5:end - 2])
+        if used != length:
+            raise BodyError("trailing bytes in BODY")
+        return decode_fields(*fields), end
+    except BodyError as e:
+        return Diagnostic("body", idx, str(e)), idx + 1
+    except FrameDecodeError as e:
+        return Diagnostic("undecodable", idx, str(e)), end
+
+
 def receive(stream: bytes) -> tuple[list[Proposition], list[Diagnostic]]:
     """Scan arbitrary bytes for wire frames and decode them.
 
@@ -198,59 +231,18 @@ def receive(stream: bytes) -> tuple[list[Proposition], list[Diagnostic]]:
             break
         if idx > pos:
             diags.append(Diagnostic("garbage", pos, f"{idx - pos} unframed bytes"))
-        if n - idx < 7:
-            diags.append(Diagnostic("truncated", idx,
-                                    "incomplete frame header at end of stream"))
-            break
-        length = stream[idx + 3] << 8 | stream[idx + 4]
-        end = idx + 7 + length
-        if end > n:
-            diags.append(Diagnostic("truncated", idx,
-                                    "frame extends past end of stream"))
-            pos = idx + 1
-            continue
-        crc_got = stream[end - 2] << 8 | stream[end - 1]
-        crc_want = crc16(stream[idx + 2:end - 2])
-        if crc_got != crc_want:
-            diags.append(Diagnostic(
-                "crc", idx,
-                f"CRC mismatch: got 0x{crc_got:04X}, want 0x{crc_want:04X}"))
-            pos = idx + 1
-            continue
-        ver = stream[idx + 2]
-        if ver != VERSION:
-            diags.append(Diagnostic("version", idx, f"bad version 0x{ver:02x}"))
-            pos = idx + 1
-            continue
-        try:
-            fields, used = body_fields(stream[idx + 5:end - 2])
-            if used != length:
-                raise BodyError("trailing bytes in BODY")
-            props.append(decode_fields(*fields))
-        except BodyError as e:
-            diags.append(Diagnostic("body", idx, str(e)))
-            pos = idx + 1
-            continue
-        except FrameDecodeError as e:
-            diags.append(Diagnostic("undecodable", idx, str(e)))
-        pos = end
+        out, pos = _frame_at(stream, idx)
+        (diags if isinstance(out, Diagnostic) else props).append(out)
     return props, diags
 
 
 def receive_one(stream: bytes) -> Proposition | None:
     """p exactly when ``receive(stream) == ([p], [])``, else None; never
-    raises.  Only a stream that is one whole frame from its first byte
-    qualifies, so it builds no diagnostic and does not scan."""
-    length = len(stream) - 7
-    if (length < 0 or stream[:2] != SYNC or stream[2] != VERSION
-            or stream[3] << 8 | stream[4] != length
-            or stream[-2] << 8 | stream[-1] != crc16(stream[2:-2])):
+    raises.  It runs receive's frame check at offset 0, with no scan."""
+    if stream[:2] != SYNC:
         return None
-    try:
-        fields, used = body_fields(stream[5:-2])
-        return decode_fields(*fields) if used == length else None
-    except (BodyError, FrameDecodeError):
-        return None
+    out, end = _frame_at(stream, 0)
+    return None if isinstance(out, Diagnostic) or end != len(stream) else out
 
 
 def wire_to_frames(stream: bytes) -> tuple[list[Frame], list[Diagnostic]]:

@@ -134,6 +134,17 @@ def test_receiver_reports_undecodable_frame_by_offset(stream, offset):
     assert lines[1].startswith(f"frame {offset}: undecodable (bad predicate name")
 
 
+@pytest.mark.parametrize("stream, expected, lines", [
+    (ON112_HEX, ["ON(112)", "~P(3)"], ["ON(112)  [match]", "~P(3)  [MISSING]"]),
+    ("", ["ON(112)"], ["ON(112)  [MISSING]"]),
+], ids=["second-missing", "empty-stream"])
+def test_receiver_counts_a_missing_expected_frame_as_a_mismatch(stream, expected,
+                                                                lines):
+    from semchan.cli import handle_stream
+
+    assert handle_stream(bytes.fromhex(stream), expected=expected) == (lines, 1)
+
+
 def test_receiver_analysis_of_undecodable_nested_frame_is_status_1():
     from semchan.cli import handle_stream
 
@@ -247,13 +258,35 @@ def test_missing_config_exit_3(capsys):
 
 def test_diagonalize(capsys, tmp_path):
     preds = tmp_path / "preds.txt"
-    preds.write_text("P\nQ\n")
+    preds.write_text("# names, as in a world file\nP\n\nQ  # a comment\n")
     code, out, _ = run_cli(capsys, "diagonalize", "--predicates", str(preds),
-                           "--max-n", "3", "--json")
+                           "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["k"] == 3 and doc["k_prime"] == 4
     assert doc["identity_holds"] and doc["identity_prime_holds"]
+
+
+def test_diagonalize_has_no_max_n_option(capsys, tmp_path):
+    preds = tmp_path / "preds.txt"
+    preds.write_text("P\nQ\n")
+    code, out, _ = run_cli(capsys, "diagonalize", "--predicates", str(preds),
+                           "--max-n", "3")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("P\n#5\nQ\n", "invalid predicate name: '#5'"),
+    ("P\nbad name\n", "invalid predicate name: 'bad name'"),
+], ids=["index", "space"])
+def test_bad_predicates_file_names_the_line(capsys, tmp_path, text, reason):
+    path = tmp_path / "preds.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagonalize", "--predicates", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}:2: {reason}\n"
 
 
 def test_demo_liar(capsys):
@@ -569,8 +602,7 @@ def command_lines(draw, directory: Path):
             argv += ["--transcript", str(directory / draw(
                 st.sampled_from(["t.jsonl", "missing/t.jsonl"])))]
     elif command == "diagonalize":
-        argv = [command, "--predicates", file_arg("predicates", PREDICATE_FILES),
-                "--max-n", draw(st.sampled_from(["1", "3", "0", "-1", "x"]))]
+        argv = [command, "--predicates", file_arg("predicates", PREDICATE_FILES)]
     elif command == "demo":
         argv = [command, draw(st.sampled_from(["liar", "err", "truth"]))]
         if draw(st.booleans()):

@@ -585,6 +585,13 @@ def test_receive_matches_reference(stream, flip):
 @example(BAD_NAME_WIRE, 8 * 200)  # CRC-valid, undecodable
 @example(LEN_SHORT_WIRE, 8 * 200)  # the CRC holds, LEN does not
 @example(wrap(b"\x01\x00\x02ON\x00\x00\x01\x70", version=2), 8 * 200)  # version 2
+# SYNC and an incomplete header: the frame check's resume offset is the
+# stream's end, so only its outcome rejects these
+@example(SYNC, 8 * 200)
+@example(SYNC + b"\x01", 8 * 200)
+@example(SYNC + b"\x01\x00", 8 * 200)
+@example(SYNC + b"\x01\x00\x00", 8 * 200)
+@example(SYNC + b"\x01\x00\x00\x00", 8 * 200)
 @given(STREAMS, st.integers(0, 8 * 200))
 def test_receive_one_is_receive_of_exactly_one_frame(stream, flip):
     streams = [stream]
