@@ -17,8 +17,8 @@ from .model import (
     parse_proposition,
     render_proposition,
 )
-from .codec import Frame, decode_frame, encode_frame, payload_bits
-from .wire import crc16, frame_to_wire, receive, wire_to_frames
+from .wire import (Frame, crc16, decode_frame, encode_frame, frame_to_wire,
+                   payload_bits, receive, wire_to_frames)
 from .channel import (
     BitFlipTS,
     Channel,

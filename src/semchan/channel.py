@@ -1,7 +1,7 @@
 """Active channel triple: encode, pluggable transmission system, decode.
 
-The encoder/decoder halves are fixed to the codec and wire modules'
-functions; what varies is the transmission system applied to the
+The encoder/decoder halves are fixed to the wire module's ``encode`` and
+``receive``; what varies is the transmission system applied to the
 serialized wire bytes.  Noisy systems are seeded and counter-indexed so
 every transcript is replayable.  ``transmit`` returns the ``Transcript``
 of the use: decode failures are values in it, never exceptions, because
@@ -180,7 +180,7 @@ class SubstituteTS(TransmissionSystem):
 
 @dataclass
 class Channel:
-    """Active channel: codec halves plus a TS and a monotone use counter."""
+    """Active channel: wire encode/receive, a TS and a monotone use counter."""
 
     ts: TransmissionSystem
     uses: int = 0

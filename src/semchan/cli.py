@@ -13,7 +13,6 @@ import socket
 import sys
 
 from .channel import append_transcript, load_channel, make_channel
-from .codec import decode_frame, encode_frame, payload_bits
 from .diagonal import (
     analyze_self_reference,
     build_Err_all,
@@ -25,7 +24,7 @@ from .model import (_COMMENT_RE, PredicateCode, load_world, parse_proposition,
                     render_proposition)
 from .tarski import ground_corpus, verify_bridge
 from .transfer import TRANSFERABLE, check_transferable
-from .wire import encode, receive
+from .wire import decode_frame, encode, encode_frame, payload_bits, receive
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -78,13 +77,16 @@ def cmd_transmit(args) -> int:
 
 
 def _load_predicates(path: str) -> list[PredicateCode]:
-    """One predicate name a line; comments as in a world file."""
+    """One distinct predicate name a line; comments as in a world file."""
     preds = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             if line := _COMMENT_RE.split(raw, 1)[0].strip():
                 try:
-                    preds.append(PredicateCode(line))
+                    pred = PredicateCode(line)
+                    if pred in preds:
+                        raise ValueError(f"duplicate predicate: {line!r}")
+                    preds.append(pred)
                 except ValueError as e:
                     raise ValueError(f"{path}:{lineno}: {e}") from None
     return preds
@@ -145,10 +147,12 @@ def handle_stream(data: bytes, analyze: bool = False,
     code = EXIT_OK
     for i, p in enumerate(props):
         text = render_proposition(p)
-        if expected and i < len(expected):
-            ok = text == expected[i]
-            lines.append(f"{text}  [{'match' if ok else 'MISMATCH'}]")
-            if not ok:
+        if expected:
+            want = expected[i] if i < len(expected) else None
+            mark = ("match" if text == want else
+                    "UNEXPECTED" if want is None else "MISMATCH")
+            lines.append(f"{text}  [{mark}]")
+            if mark != "match":
                 code = EXIT_NEGATIVE
         else:
             lines.append(text)

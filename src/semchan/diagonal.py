@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .codec import Frame, decode_frame, encode_frame
 from .channel import Channel, transmit
 from .model import ObjectRef, PredicateCode, Proposition
 from .transfer import NON_TRANSFERABLE, PARADOXICAL, TRANSFERABLE, Verdict
-from .wire import body_bytes, encode, frame_to_wire
+from .wire import (Frame, body_bytes, decode_frame, encode, encode_frame,
+                   frame_to_wire)
 
 NT = PredicateCode("NT")
 TR = PredicateCode("Tr")

@@ -107,11 +107,6 @@ class ObjectRef:
         """0 unless nested, else one more than the inner object's depth."""
         return 1 + self.inner.object.depth if self.kind == "nested" else 0
 
-    @property
-    def frame(self) -> "Frame | None":
-        """The nested proposition's frame, or None for other kinds."""
-        return None if self.inner is None else encode_frame(self.inner)
-
     @staticmethod
     def num(m: int) -> "ObjectRef":
         return ObjectRef("number", m)
@@ -388,7 +383,6 @@ def load_world(path: str) -> World:
     return World.build(domain, literals)
 
 
-# the codec and the wire format build on the types above
-from .codec import (Frame, FrameDecodeError, encode_frame, frame_fields,
-                    nested_object)
-from .wire import BodyError, fields_body, parse_body
+# the wire encoding builds on the types above
+from .wire import (BodyError, FrameDecodeError, fields_body, frame_fields,
+                   nested_object, parse_body)

@@ -15,11 +15,10 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .codec import decode_frame
 from .channel import Channel, TransmissionSystem, _sample_activeness
 from .diagonal import build_enumeration, find_fixed_point
 from .model import ObjectRef, Proposition, World, holds, render_proposition
-from .wire import encode, frame_to_wire, receive_one
+from .wire import decode_frame, encode, frame_to_wire, receive_one
 
 log = logging.getLogger(__name__)
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .codec import Frame, decode_frame
 from .channel import Channel, Transcript, transmit
 from .model import Proposition
+from .wire import Frame, decode_frame
 
 TRANSFERABLE = "Transferable"
 NON_TRANSFERABLE = "NonTransferable"

@@ -1,4 +1,14 @@
-"""Self-delimiting byte framing: sync word, versioned TLV body, CRC-16.
+"""A proposition's bytes: proposition -> field tuple -> BODY -> frame, back.
+
+A proposition's fields are a polarity bit, a predicate (name bytes or a
+numeric index) and an object (number, all-objects marker, or a nested
+proposition).  ``frame_fields`` gives them as a tuple in ``Frame``'s
+order, ``fields_body`` serializes the tuple as a BODY and ``encode``
+frames the BODY; back, ``receive`` parses each BODY to its fields and
+``decode_fields`` builds the proposition.  A ``Frame`` holds the fields
+as a value (``encode_frame``, ``decode_frame``).  ``payload_bits``
+renders the display bits Polarity || predicate || object, which are not
+self-delimiting.
 
 Wire frame layout:
 
@@ -39,9 +49,8 @@ from __future__ import annotations
 import binascii
 from dataclasses import dataclass
 
-from .codec import (Frame, FrameDecodeError, _min_be_bytes, decode_fields,
-                    encode_frame, frame_fields)
-from .model import MAX_NESTING_DEPTH, Proposition
+from .model import (MAX_NESTING_DEPTH, MAX_OBJECT_NUMBER, ObjectRef,
+                    PredicateCode, Proposition)
 
 SYNC = b"\xa5\x5a"
 VERSION = 0x01
@@ -53,13 +62,9 @@ OTAG_NUMBER = 0x00
 OTAG_NESTED = 0x01
 OTAG_ALL = 0x02
 
-def crc16(data: bytes) -> int:
-    """CRC-16/IBM-3740, formerly CCITT-FALSE: poly 0x1021, init 0xFFFF,
-    no reflection, no xorout; check value 0x29B1.
 
-    https://reveng.sourceforge.io/crc-catalogue/16.htm
-    """
-    return binascii.crc_hqx(data, 0xFFFF)
+class FrameDecodeError(ValueError):
+    """Raised when a frame does not decode to a valid proposition."""
 
 
 class BodyError(ValueError):
@@ -68,6 +73,133 @@ class BodyError(ValueError):
 
 class WireSizeError(ValueError):
     """Raised when a frame exceeds wire size limits."""
+
+
+def _min_be_bytes(n: int) -> bytes:
+    return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
+
+
+@dataclass(frozen=True, slots=True)
+class Frame:
+    """Structured encoding of a proposition.
+
+    predicate_tag is "name" (character bytes) or "index" (minimal
+    big-endian bytes of the index); object_tag is "number", "all" or
+    "nested".
+    """
+
+    polarity: bool
+    predicate_tag: str
+    predicate_bytes: bytes
+    object_tag: str
+    object_number: int = 0
+    object_frame: "Frame | None" = None
+
+    @property
+    def depth(self) -> int:
+        if self.object_tag == "nested":
+            return 1 + self.object_frame.depth
+        return 0
+
+    def triple(self):
+        """The (polarity, predicate, object) triple rendering."""
+        pol = 1 if self.polarity else 0
+        if self.object_tag == "number":
+            obj = self.object_number
+        elif self.object_tag == "all":
+            obj = 0
+        else:
+            obj = self.object_frame.triple()
+        return (pol, self.predicate_bytes.hex().upper(), obj)
+
+
+def frame_fields(p: Proposition) -> tuple:
+    """encode_frame's fields, in Frame's order, nesting a Proposition."""
+    pred, obj = p.predicate.value, p.object
+    if isinstance(pred, str):
+        ptag, pbytes = "name", pred.encode("ascii")
+    else:
+        ptag, pbytes = "index", _min_be_bytes(pred)
+    return p.polarity, ptag, pbytes, obj.kind, obj.number, obj.inner
+
+
+def encode_frame(p: Proposition) -> Frame:
+    """Encode a proposition as a frame; total on valid propositions."""
+    *fields, inner = frame_fields(p)
+    return Frame(*fields, None if inner is None else encode_frame(inner))
+
+
+def decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
+    """decode_frame of a frame given as its fields, in Frame's order."""
+    if ptag == "name":
+        try:
+            pred = PredicateCode(pbytes.decode("ascii"))
+        except (UnicodeDecodeError, ValueError) as e:
+            raise FrameDecodeError(f"bad predicate name bytes: {e}") from e
+    elif ptag == "index":
+        idx = int.from_bytes(pbytes, "big")
+        if idx < 1:
+            raise FrameDecodeError("zero predicate index")
+        pred = PredicateCode(idx)
+    else:
+        raise FrameDecodeError(f"bad predicate tag: {ptag!r}")
+    if kind == "number":
+        if not 1 <= number <= MAX_OBJECT_NUMBER:
+            raise FrameDecodeError(f"number object out of range 1..2^64-1: {number}")
+        obj = ObjectRef("number", number)
+    elif kind == "all":
+        obj = ObjectRef("all")
+    elif kind == "nested":
+        obj = nested_object(nested)
+    else:
+        raise FrameDecodeError(f"bad object tag: {kind!r}")
+    return Proposition(pol, pred, obj)
+
+
+def decode_frame(f: Frame) -> Proposition:
+    """Exact inverse of encode_frame on the valid domain; raises
+    FrameDecodeError for every well-typed frame outside it."""
+    return decode_fields(f.polarity, f.predicate_tag, f.predicate_bytes,
+                         f.object_tag, f.object_number, f.object_frame)
+
+
+def nested_object(f: Frame) -> ObjectRef:
+    """ObjectRef.nested: the object naming f's proposition.  The one place
+    a nested frame is decoded; raises FrameDecodeError if f does not decode."""
+    if f.depth >= MAX_NESTING_DEPTH:
+        raise FrameDecodeError("nesting depth exceeded")
+    try:
+        inner = decode_frame(f)
+    except FrameDecodeError as e:
+        raise FrameDecodeError(f"nested frame does not decode: {e}") from None
+    return ObjectRef("nested", 0, inner)
+
+
+def payload_bits(f: Frame) -> str:
+    """Concatenated display bits: polarity || predicate || object.
+
+    Predicate bytes render MSB-first; number objects render as minimal
+    binary with no leading zeros; the all-objects marker is the single
+    bit '0'; nested frames render recursively.
+    """
+    bits = ["1" if f.polarity else "0"]
+    bits.extend(format(b, "08b") for b in f.predicate_bytes)
+    if f.object_tag == "number":
+        bits.append(format(f.object_number, "b"))
+    elif f.object_tag == "all":
+        bits.append("0")
+    else:
+        bits.append(payload_bits(f.object_frame))
+    return "".join(bits)
+
+
+def crc16(data: bytes) -> int:
+    """CRC-16/IBM-3740, formerly CCITT-FALSE: poly 0x1021, init 0xFFFF,
+    no reflection, no xorout; check value 0x29B1.
+
+    https://reveng.sourceforge.io/crc-catalogue/16.htm
+    """
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 def fields_body(pol, ptag, pbytes, kind, number, nested, depth: int = 0) -> bytes:

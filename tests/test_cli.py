@@ -145,6 +145,18 @@ def test_receiver_counts_a_missing_expected_frame_as_a_mismatch(stream, expected
     assert handle_stream(bytes.fromhex(stream), expected=expected) == (lines, 1)
 
 
+def test_receiver_counts_an_unexpected_extra_frame_as_a_mismatch():
+    from semchan import parse_proposition
+    from semchan.cli import handle_stream
+    from semchan.wire import encode
+
+    stream = encode(parse_proposition("ON(112)")) + encode(parse_proposition("~P(3)"))
+    assert handle_stream(stream, expected=["ON(112)"]) == (
+        ["ON(112)  [match]", "~P(3)  [UNEXPECTED]"], 1)
+    # without --expect the same stream is plain text, status 0
+    assert handle_stream(stream) == (["ON(112)", "~P(3)"], 0)
+
+
 def test_receiver_analysis_of_undecodable_nested_frame_is_status_1():
     from semchan.cli import handle_stream
 
@@ -287,6 +299,15 @@ def test_bad_predicates_file_names_the_line(capsys, tmp_path, text, reason):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}:2: {reason}\n"
+
+
+def test_repeated_predicate_is_refused_at_its_line(capsys, tmp_path):
+    path = tmp_path / "preds.txt"
+    path.write_text("P\nQ\nP  # again\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagonalize", "--predicates", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}:3: duplicate predicate: 'P'\n"
 
 
 def test_demo_liar(capsys):

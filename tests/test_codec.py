@@ -13,7 +13,7 @@ from semchan import (
     parse_proposition,
     payload_bits,
 )
-from semchan.codec import Frame, FrameDecodeError, decode_fields
+from semchan.wire import Frame, FrameDecodeError, decode_fields
 
 from genprops import corpus, gen_proposition
 
@@ -120,7 +120,7 @@ def reference_encode_frame(p: Proposition) -> Frame:
     if p.object.kind == "all":
         return Frame(p.polarity, ptag, pbytes, "all")
     return Frame(p.polarity, ptag, pbytes, "nested",
-                 object_frame=p.object.frame)
+                 object_frame=encode_frame(p.object.inner))
 
 
 def reference_decode_frame(f: Frame) -> Proposition:

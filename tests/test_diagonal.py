@@ -77,7 +77,7 @@ def test_build_B_structure():
     b1 = build_B(t, 1)
     p = decode_frame(b1)
     assert p.polarity and p.predicate == NT
-    assert decode_frame(p.object.frame) == Proposition(True, P, ObjectRef.num(1))
+    assert decode_frame(encode_frame(p.object.inner)) == Proposition(True, P, ObjectRef.num(1))
 
 
 def test_build_Bprime_structure():
@@ -85,7 +85,7 @@ def test_build_Bprime_structure():
     bp1 = build_Bprime(t, 1)
     p = decode_frame(bp1)
     assert not p.polarity and p.predicate == TR
-    assert decode_frame(p.object.frame) == Proposition(False, P, ObjectRef.num(1))
+    assert decode_frame(encode_frame(p.object.inner)) == Proposition(False, P, ObjectRef.num(1))
 
 
 def test_build_Bprime_nt_form_is_distinct():
@@ -123,7 +123,7 @@ def test_fixed_point_frame_shape():
     report = find_fixed_point(t)
     star = decode_frame(report.frame_star)
     assert star.predicate == NT
-    inner = decode_frame(star.object.frame)
+    inner = decode_frame(encode_frame(star.object.inner))
     assert inner.predicate == NT and inner.object.number == report.k
 
 
@@ -162,8 +162,6 @@ def test_error_paradox_on_perfect_channel():
 
 @pytest.mark.parametrize("name", ["NT", "Tr", "Err"])
 def test_undecodable_nested_frame_is_value_error_before_transmit(name):
-    from semchan.codec import Frame
-
     bad = Frame(True, "name", b"\xff\xfe", "number", 112)
     f = Frame(True, "name", name.encode(), "nested", object_frame=bad)
     c = make_channel({"kind": "perfect"})

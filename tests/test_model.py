@@ -57,7 +57,7 @@ def test_parse_nested_hex_roundtrip():
     text = f"NT(<{body_bytes(inner).hex()}>)"
     p = parse_proposition(text)
     assert p.object.kind == "nested"
-    assert p.object.frame == inner
+    assert encode_frame(p.object.inner) == inner
     assert render_proposition(p) == text
 
 
@@ -178,7 +178,7 @@ def test_model_takes_exact_ints(build, got):
 
 
 def nested_chain(depth):
-    """P(1) nested depth times under Q, built past the codec's own cap."""
+    """P(1) nested depth times under Q, built past the encoding's own cap."""
     p = parse_proposition("P(1)")
     for _ in range(depth):
         p = Proposition(True, PredicateCode("Q"), ObjectRef("nested", 0, p))

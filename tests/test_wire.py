@@ -17,7 +17,6 @@ from semchan import (
     render_proposition,
     wire_to_frames,
 )
-from semchan.codec import Frame, FrameDecodeError
 from semchan.wire import (
     MAX_BODY_LEN,
     OTAG_ALL,
@@ -29,6 +28,8 @@ from semchan.wire import (
     VERSION,
     BodyError,
     Diagnostic,
+    Frame,
+    FrameDecodeError,
     WireSizeError,
     body_bytes,
     encode,
@@ -610,8 +611,12 @@ def test_receive_one_is_receive_of_exactly_one_frame(stream, flip):
 @given(PROPOSITIONS)
 def test_encode_matches_frame_to_wire_of_encode_frame(p):
     expected = outcome(reference_frame_to_wire, reference_encode_frame(p))
-    assert outcome(encode, p) == expected
+    e = outcome(encode, p)
+    assert e == expected
     assert outcome(lambda: frame_to_wire(encode_frame(p))) == expected
+    if isinstance(e, bytes):  # every frame encode returns receives as p
+        assert receive(e) == ([p], [])
+        assert receive_one(e) == p
 
 
 def test_body_bytes_checks_depth_before_predicate_length():
