@@ -6,6 +6,11 @@ serialized wire bytes.  Noisy systems are seeded and counter-indexed so
 every transcript is replayable.  ``transmit`` returns the ``Transcript``
 of the use: decode failures are values in it, never exceptions, because
 the receiver must be able to observe "did not arrive" as an outcome.
+
+When the system returns exactly the bytes that were sent, ``transmit``
+skips the scan: ``receive(encode(p)) == ([p], [])``, so the received
+proposition is the sent object itself, equal to the one ``receive``
+would build.
 """
 
 from __future__ import annotations
@@ -289,12 +294,15 @@ def transmit(c: Channel, p: Proposition) -> Transcript:
 
     Decode failure is a first-class outcome: the transcript's error says
     why nothing arrived.  Each call advances the channel's use counter.
+    A stream that arrives untouched is not scanned, because
+    ``receive(encode(p)) == ([p], [])``: its ``recv_proposition`` is then
+    ``p`` itself, a frozen value equal to what ``receive`` would build.
     """
     n = c.uses
     c.uses += 1
     sent_bytes = encode(p)
     recv_bytes = c.ts.apply(sent_bytes, n)
-    props, diags = receive(recv_bytes)
+    props, diags = ([p], []) if recv_bytes == sent_bytes else receive(recv_bytes)
     recv_prop: Optional[Proposition] = None
     error: Optional[str] = None
     if len(props) == 1 and not diags:

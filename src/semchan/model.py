@@ -16,6 +16,7 @@ from typing import FrozenSet, Iterable, Tuple
 BUILTIN_NAMES = frozenset({"NT", "Tr", "Err"})
 
 MAX_NAME_LEN = 64
+MAX_PREDICATE_BYTES = 255  # a wire predicate field's one-byte PLEN
 MAX_OBJECT_NUMBER = 2**64 - 1
 MAX_NESTING_DEPTH = 8
 
@@ -41,7 +42,8 @@ class PredicateCode:
     """Predicate identifier: either a printable name or a positive index.
 
     ``value`` is a ``str`` for the name form and an ``int`` (not a ``bool``)
-    for the numeric-index form.  The names NT, Tr and Err are reserved builtins
+    for the numeric-index form, below 2^2040 so that its minimal bytes fit
+    the wire's predicate field.  The names NT, Tr and Err are reserved builtins
     (recognized case-sensitively).
     """
 
@@ -55,6 +57,9 @@ class PredicateCode:
         elif type(v) is int:  # not a bool: True == 1 but renders '#True'
             if v < 1:
                 raise ValueError(f"predicate index must be >= 1, got {v}")
+            if v.bit_length() > 8 * MAX_PREDICATE_BYTES:
+                raise ValueError(
+                    f"predicate index must be < 2^{8 * MAX_PREDICATE_BYTES}")
         else:
             raise TypeError(f"predicate value must be str or int, got {type(v)}")
 

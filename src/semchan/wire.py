@@ -49,8 +49,8 @@ from __future__ import annotations
 import binascii
 from dataclasses import dataclass
 
-from .model import (MAX_NESTING_DEPTH, MAX_OBJECT_NUMBER, ObjectRef,
-                    PredicateCode, Proposition)
+from .model import (MAX_NESTING_DEPTH, MAX_OBJECT_NUMBER, MAX_PREDICATE_BYTES,
+                    ObjectRef, PredicateCode, Proposition)
 
 SYNC = b"\xa5\x5a"
 VERSION = 0x01
@@ -140,7 +140,10 @@ def decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
         idx = int.from_bytes(pbytes, "big")
         if idx < 1:
             raise FrameDecodeError("zero predicate index")
-        pred = PredicateCode(idx)
+        try:
+            pred = PredicateCode(idx)
+        except ValueError as e:
+            raise FrameDecodeError(f"bad predicate index: {e}") from e
     else:
         raise FrameDecodeError(f"bad predicate tag: {ptag!r}")
     if kind == "number":
@@ -206,7 +209,7 @@ def fields_body(pol, ptag, pbytes, kind, number, nested, depth: int = 0) -> byte
     """body_bytes of a frame given as its fields, or as frame_fields."""
     if depth > MAX_NESTING_DEPTH:
         raise WireSizeError("nesting depth exceeded")
-    if len(pbytes) > 255:
+    if len(pbytes) > MAX_PREDICATE_BYTES:
         raise WireSizeError("predicate field too long")
     if kind == "number":
         otag, obytes = OTAG_NUMBER, _min_be_bytes(number)
@@ -293,7 +296,8 @@ def frame_to_wire(f: Frame) -> bytes:
 
 
 def encode(p: Proposition) -> bytes:
-    """frame_to_wire(encode_frame(p)), without building the Frame."""
+    """frame_to_wire(encode_frame(p)), without building the Frame; total on
+    valid propositions, whose limits the model shares with the wire."""
     return _framed(fields_body(*frame_fields(p)))
 
 

@@ -23,10 +23,11 @@ from semchan import (
     transmit,
     verify_activeness,
 )
-from semchan.channel import (ChannelConfigError, TransmissionSystem, _bytes_to_bits,
-                             append_transcript)
+from semchan.channel import (ChannelConfigError, Transcript, TransmissionSystem,
+                             _bytes_to_bits, append_transcript)
+from semchan.wire import SYNC, crc16, encode, receive
 
-from genprops import corpus
+from genprops import corpus, gen_proposition
 
 ON112 = parse_proposition("ON(112)")
 
@@ -366,3 +367,68 @@ def test_bitflip_mask_does_not_depend_on_data(p, seed, n, data, draw):
     ts = BitFlipTS(p, seed)
     mask = bytes(a ^ b for a, b in zip(data, ts.apply(data, n)))
     assert bytes(a ^ b for a, b in zip(other, ts.apply(other, n))) == mask
+
+
+# Reference transmit: transmit as it was before the untouched-stream
+# shortcut, scanning every stream it receives.  The property below requires
+# transmit to match it transcript for transcript, so the shortcut changes
+# nothing a caller can see.
+
+def reference_transmit(c: Channel, p: Proposition) -> Transcript:
+    n = c.uses
+    c.uses += 1
+    sent_bytes = encode(p)
+    recv_bytes = c.ts.apply(sent_bytes, n)
+    props, diags = receive(recv_bytes)
+    recv_prop = error = None
+    if len(props) == 1 and not diags:
+        recv_prop = props[0]
+    elif props:
+        error = f"expected one clean frame, got {len(props)} with {len(diags)} diagnostics"
+    else:
+        detail = "; ".join(map(str, diags))
+        error = f"no frame recovered ({detail or 'empty stream'})"
+    return Transcript(p, recv_prop, sent_bytes, recv_bytes, error, c.ts.kind,
+                      c.ts.seed, n)
+
+
+class NegatingTS(TransmissionSystem):
+    """Returns a different frame of the same length: the polarity byte
+    flipped under a recomputed CRC, so the stream still scans clean."""
+
+    kind = "negating"
+
+    def apply(self, data, n):
+        if len(data) < 8:
+            return data
+        framed = data[2:5] + bytes([data[5] ^ 1]) + data[6:-2]
+        return SYNC + framed + crc16(framed).to_bytes(2, "big")
+
+
+def untouched_shortcut_channels(first: bytes) -> list:
+    """Every TS kind, with parameters that return the sent bytes on some
+    uses and not on others; truncation is set against the first frame."""
+    configs = [{"kind": "perfect"}]
+    configs += [{"kind": "bitflip", "p": p, "seed": seed}
+                for p in (0, 0.01, 0.5) for seed in (0, 1, 7, 42)]
+    configs += [{"kind": "truncate", "max_bits": bits}
+                for bits in (0, 192, 8 * len(first), 8 * len(first) - 1)]
+    configs += [{"kind": "substitute", "map": m}
+                for m in ({65: 65}, {65: 66, 66: 65}, {0xA5: 0x5A, 0x5A: 0xA5})]
+    return [make_channel(cfg) for cfg in configs] + [Channel(NegatingTS())]
+
+
+GENPROPS = st.integers(0, 2**32).map(lambda s: gen_proposition(random.Random(s)))
+
+
+@settings(max_examples=60, deadline=None)
+@example([ON112, parse_proposition("AB(1)"), parse_proposition("~NT(*)")])
+@given(st.lists(GENPROPS, min_size=1, max_size=4))
+def test_transmit_matches_reference_that_always_scans(props):
+    for c in untouched_shortcut_channels(encode(props[0])):
+        ref = Channel(c.ts)
+        for p in props:
+            got, want = transmit(c, p), reference_transmit(ref, p)
+            assert got == want
+            assert got.to_json() == want.to_json()
+        assert c.uses == ref.uses == len(props)

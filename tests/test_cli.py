@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semchan import parse_proposition, receive
+from semchan.channel import load_channel
 from semchan.cli import EXIT_IO, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from semchan.transfer import TRANSFERABLE
+from semchan.wire import encode
 
 FIG4_BITS = "101001111010011101110000"
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -562,7 +566,7 @@ def test_bad_world_file_names_the_line(capsys, perfect_cfg, tmp_path, text,
 PROPOSITION_TEXTS = st.one_of(
     st.sampled_from(["ON(112)", "~ON(112)", "NT(*)", "#5(1)", "P(0)", "P(٣)",
                      "Tr(<010002504e000001>)", "NT(<010002fffe00000170>)",
-                     "NT(<01>)", "-x", ""]),
+                     "NT(<01>)", "-x", "", f"#{2**2100}(1)"]),
     st.text(max_size=30),
 )
 HEX_TEXTS = st.one_of(
@@ -649,3 +653,39 @@ def test_exit_code_contract_holds_for_every_subcommand(contract_dir, data):
     assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_IO)
     if "--json" in argv and out.getvalue():
         json.loads(out.getvalue())
+    if argv[0] in ("transmit", "check") and code in (EXIT_OK, EXIT_NEGATIVE):
+        assert_status_is_the_scanned_verdict(argv, code, out.getvalue())
+
+
+def assert_status_is_the_scanned_verdict(argv, code, out):
+    """check/transmit exit 0 iff the printed verdict is Transferable, and that
+    verdict is the one a full scan of the first use's received bytes gives."""
+    if "--json" in argv:
+        verdict = json.loads(out)["verdict"]
+    else:
+        verdict = out.splitlines()[-1].removeprefix("verdict: ")
+    assert (code == EXIT_OK) == (verdict == TRANSFERABLE)
+    p = parse_proposition(argv[1])
+    ts = load_channel(argv[argv.index("--channel") + 1]).ts
+    assert (verdict == TRANSFERABLE) == (receive(ts.apply(encode(p), 0)) == ([p], []))
+
+
+# the well-formed channel files and propositions of the strategies above, so
+# every pair of them is checked, not only the few the contract test draws
+@pytest.mark.parametrize("channel", [
+    b'{"kind": "perfect"}', b'{"kind": "bitflip", "p": 0.5, "seed": 3}',
+    b'{"kind": "bitflip", "p": 0.01, "seed": 3}', b'{"kind": "truncate", "max_bits": 9}',
+    b'{"kind": "truncate", "max_bits": 120}',
+    b'{"kind": "substitute", "map": {"80": 81, "81": 80}}'])
+@pytest.mark.parametrize("command", ["transmit", "check"])
+def test_check_and_transmit_exit_zero_iff_transferable(tmp_path, capsys, channel,
+                                                       command):
+    path = tmp_path / "channel.json"
+    path.write_bytes(channel)
+    for text in ["ON(112)", "~ON(112)", "NT(*)", "#5(1)", "P(1)", "Q(81)",
+                 "NT(<0100024f4e00000170>)"]:
+        for extra in ([], ["--json"]):
+            argv = [command, text, "--channel", str(path), *extra]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_NEGATIVE)
+            assert_status_is_the_scanned_verdict(argv, code, out)

@@ -605,18 +605,35 @@ def test_receive_one_is_receive_of_exactly_one_frame(stream, flip):
         assert receive_one(s) == (props[0] if len(props) == 1 and not diags else None)
 
 
+DEEPEST = reduce(lambda p, _: Proposition(False, PredicateCode(2**2040 - 1),
+                                          ObjectRef("nested", 0, p)),
+                 range(8), Proposition(True, PredicateCode("A" * 64),
+                                       ObjectRef.num(2**64 - 1)))
+
+
 @settings(max_examples=300)
 @example(Proposition(True, PredicateCode(2**2040 - 1), ObjectRef.num(1)))  # 255 bytes
-@example(Proposition(True, PredicateCode(2**2040), ObjectRef.num(1)))  # 256 bytes
+@example(DEEPEST)  # every field at its limit, at the deepest nesting
 @given(PROPOSITIONS)
 def test_encode_matches_frame_to_wire_of_encode_frame(p):
     expected = outcome(reference_frame_to_wire, reference_encode_frame(p))
     e = outcome(encode, p)
     assert e == expected
     assert outcome(lambda: frame_to_wire(encode_frame(p))) == expected
-    if isinstance(e, bytes):  # every frame encode returns receives as p
-        assert receive(e) == ([p], [])
-        assert receive_one(e) == p
+    # encode never raises on a valid proposition, and its frame receives as p
+    assert isinstance(e, bytes)
+    assert receive(e) == ([p], [])
+    assert receive_one(e) == p
+
+
+def test_predicate_index_over_255_bytes_is_refused_when_built():
+    # a 256-byte index fits no one-byte PLEN, so the model refuses it
+    # before anything tries to encode it
+    with pytest.raises(ValueError, match=r"^predicate index must be < 2\^2040$"):
+        PredicateCode(2**2040)
+    with pytest.raises(ValueError, match=r"^predicate index must be < 2\^2040$"):
+        parse_proposition("#" + str(2**2100) + "(1)")
+    assert len(encode(parse_proposition("#" + str(2**2040 - 1) + "(1)"))) == 269
 
 
 def test_body_bytes_checks_depth_before_predicate_length():
