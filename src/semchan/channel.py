@@ -129,9 +129,7 @@ class BitFlipTS(TransmissionSystem):
             out[i >> 3] ^= 0x80 >> (i & 7)
         return bytes(out)
 
-    def invert(self, data: bytes, n: int) -> bytes:
-        """Undo use n: the same mask XORed again, so this is ``apply``."""
-        return self.apply(data, n)
+    invert = apply  # undo use n: the same mask XORed again
 
 
 class TruncateTS(TransmissionSystem):

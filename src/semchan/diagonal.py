@@ -85,15 +85,8 @@ def build_B(t: EnumerationTable, n: int) -> Frame:
     return encode_frame(_about(True, NT, _cell(t, n, True)))
 
 
-def build_Bprime(t: EnumerationTable, n: int, nt_form: bool = False) -> Frame:
-    """Derived row B'(n), canonically (0, Tr, nested (0, P_n, n)).
-
-    nt_form=True yields the alternative (0, NT, nested (1, P_n, n))
-    reading; the two are distinct byte strings and are never asserted
-    equal.
-    """
-    if nt_form:
-        return encode_frame(_about(False, NT, _cell(t, n, True)))
+def build_Bprime(t: EnumerationTable, n: int) -> Frame:
+    """Derived row B'(n): the frame (0, Tr, nested (0, P_n, n))."""
     return encode_frame(_about(False, TR, _cell(t, n, False)))
 
 

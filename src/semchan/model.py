@@ -122,8 +122,15 @@ class ObjectRef:
 
     @staticmethod
     def nested(frame: "Frame") -> "ObjectRef":
-        """The object naming a frame's proposition; raises FrameDecodeError."""
-        return nested_object(frame)
+        """The object naming a frame's proposition.  The one place a nested
+        frame is decoded; raises FrameDecodeError if it does not decode."""
+        if frame.depth >= MAX_NESTING_DEPTH:
+            raise FrameDecodeError("nesting depth exceeded")
+        try:
+            inner = decode_frame(frame)
+        except FrameDecodeError as e:
+            raise FrameDecodeError(f"nested frame does not decode: {e}") from None
+        return ObjectRef("nested", 0, inner)
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,5 +396,5 @@ def load_world(path: str) -> World:
 
 
 # the wire encoding builds on the types above
-from .wire import (BodyError, FrameDecodeError, fields_body, frame_fields,
-                   nested_object, parse_body)
+from .wire import (BodyError, FrameDecodeError, decode_frame, fields_body,
+                   frame_fields, parse_body)

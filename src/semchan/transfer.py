@@ -10,7 +10,6 @@ counter: the predicates are operational, not declarative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .channel import Channel, Transcript, transmit
 from .model import Proposition
@@ -30,14 +29,14 @@ class Verdict:
     """
 
     kind: str
-    evidence: Optional[Transcript] = None
+    evidence: Transcript
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {
             "verdict": self.kind,
-            "sent": self.evidence.sent if self.evidence else None,
-            "recv": self.evidence.recv if self.evidence else None,
+            "sent": self.evidence.sent,
+            "recv": self.evidence.recv,
             "trace": list(self.notes),
         }
 

@@ -153,7 +153,7 @@ def decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
     elif kind == "all":
         obj = ObjectRef("all")
     elif kind == "nested":
-        obj = nested_object(nested)
+        obj = ObjectRef.nested(nested)
     else:
         raise FrameDecodeError(f"bad object tag: {kind!r}")
     return Proposition(pol, pred, obj)
@@ -164,18 +164,6 @@ def decode_frame(f: Frame) -> Proposition:
     FrameDecodeError for every well-typed frame outside it."""
     return decode_fields(f.polarity, f.predicate_tag, f.predicate_bytes,
                          f.object_tag, f.object_number, f.object_frame)
-
-
-def nested_object(f: Frame) -> ObjectRef:
-    """ObjectRef.nested: the object naming f's proposition.  The one place
-    a nested frame is decoded; raises FrameDecodeError if f does not decode."""
-    if f.depth >= MAX_NESTING_DEPTH:
-        raise FrameDecodeError("nesting depth exceeded")
-    try:
-        inner = decode_frame(f)
-    except FrameDecodeError as e:
-        raise FrameDecodeError(f"nested frame does not decode: {e}") from None
-    return ObjectRef("nested", 0, inner)
 
 
 def payload_bits(f: Frame) -> str:
@@ -233,22 +221,22 @@ def body_bytes(f: Frame, depth: int = 0) -> bytes:
                        f.object_tag, f.object_number, f.object_frame, depth)
 
 
-def body_fields(data: bytes, offset: int = 0, depth: int = 0):
+def body_fields(data: bytes, depth: int = 0):
     """parse_body, with the frame's fields, in Frame's order, for the Frame."""
     if depth > MAX_NESTING_DEPTH:
         raise BodyError("nesting depth exceeded")
     size = len(data)
-    if size - offset < 3:
+    if size < 3:
         raise BodyError("BODY shorter than fixed header")
-    pol, ptag, plen = data[offset:offset + 3]
+    pol, ptag, plen = data[:3]
     if pol > 0x01:
         raise BodyError(f"bad POL byte 0x{pol:02x}")
     if ptag > 0x01:
         raise BodyError(f"bad PTAG byte 0x{ptag:02x}")
-    pend = offset + 3 + plen
+    pend = 3 + plen
     if pend > size:
         raise BodyError("truncated predicate field")
-    pbytes = bytes(data[offset + 3:pend])
+    pbytes = bytes(data[3:pend])
     if ptag == PTAG_INDEX and (plen == 0 or pbytes[0] == 0):
         raise BodyError("empty or non-minimal predicate index")
     if size - pend < 3:
@@ -270,18 +258,18 @@ def body_fields(data: bytes, offset: int = 0, depth: int = 0):
             raise BodyError("all-objects marker with nonzero OLEN")
         obj = "all", 0, None
     elif otag == OTAG_NESTED:
-        nested, used = parse_body(data[pend + 3:end], 0, depth + 1)
+        nested, used = parse_body(data[pend + 3:end], depth + 1)
         if used != olen:
             raise BodyError("trailing bytes after nested body")
         obj = "nested", 0, nested
     else:
         raise BodyError(f"bad OTAG byte 0x{otag:02x}")
-    return (bool(pol), ptag_name, pbytes, *obj), end - offset
+    return (bool(pol), ptag_name, pbytes, *obj), end
 
 
-def parse_body(data: bytes, offset: int = 0, depth: int = 0):
-    """Parse one BODY starting at offset; returns (Frame, bytes consumed)."""
-    fields, used = body_fields(data, offset, depth)
+def parse_body(data: bytes, depth: int = 0):
+    """Parse one BODY at the start of data; returns (Frame, bytes consumed)."""
+    fields, used = body_fields(data, depth)
     return Frame(*fields), used
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import socket
 import subprocess
 import sys
@@ -8,9 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from semchan import parse_proposition, receive
+from genprops import gen_proposition
+from semchan import parse_proposition, receive, render_proposition
 from semchan.channel import load_channel
 from semchan.cli import EXIT_IO, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from semchan.transfer import TRANSFERABLE
@@ -563,12 +565,33 @@ def test_bad_world_file_names_the_line(capsys, perfect_cfg, tmp_path, text,
 # The exit-code contract over arbitrary input: every subcommand returns 0, 1,
 # 2 or 3 without raising, and under --json prints nothing or one JSON document.
 
-PROPOSITION_TEXTS = st.one_of(
-    st.sampled_from(["ON(112)", "~ON(112)", "NT(*)", "#5(1)", "P(0)", "P(٣)",
-                     "Tr(<010002504e000001>)", "NT(<010002fffe00000170>)",
-                     "NT(<01>)", "-x", "", f"#{2**2100}(1)"]),
-    st.text(max_size=30),
-)
+WELL_FORMED_TEXTS = ["ON(112)", "~ON(112)", "NT(*)", "#5(1)", "P(1)", "Q(81)",
+                     "NT(<0100024f4e00000170>)"]
+WELL_FORMED_CHANNELS = [
+    b'{"kind": "perfect"}', b'{"kind": "bitflip", "p": 0.5, "seed": 3}',
+    b'{"kind": "bitflip", "p": 0.01, "seed": 3}', b'{"kind": "truncate", "max_bits": 9}',
+    b'{"kind": "truncate", "max_bits": 120}',
+    b'{"kind": "substitute", "map": {"80": 81, "81": 80}}']
+
+
+def mostly(common, rare):
+    """A draw from common three times in four, else one from rare."""
+    return st.integers(0, 3).flatmap(lambda i: rare if i == 0 else common)
+
+
+# well formed most of the time, so that most check and transmit lines reach
+# a verdict
+PROPOSITION_TEXTS = mostly(
+    st.one_of(
+        st.sampled_from(WELL_FORMED_TEXTS),
+        st.integers(0, 2**32).map(
+            lambda seed: render_proposition(gen_proposition(random.Random(seed))))),
+    st.one_of(
+        st.sampled_from(["ON(112)", "~ON(112)", "NT(*)", "#5(1)", "P(0)", "P(٣)",
+                         "Tr(<010002504e000001>)", "NT(<010002fffe00000170>)",
+                         "NT(<01>)", "-x", "", f"#{2**2100}(1)"]),
+        st.text(max_size=30),
+    ))
 HEX_TEXTS = st.one_of(
     st.sampled_from([ON112_HEX, ON112_HEX + ON112_HEX, BAD_NAME_HEX, BAD_NESTED_HEX,
                      BAD_NAME_HEX + ON112_HEX, "zz", "0011", ""]),
@@ -576,17 +599,16 @@ HEX_TEXTS = st.one_of(
     st.text(max_size=30),
 )
 # a file argument's bytes: None for a missing file, "dir" for a directory;
-# each kind of file is well formed about half the time
+# one_of flattens BAD_FILES' three arms into its own, so a world or
+# predicates file is well formed about one draw in four, and a channel file,
+# drawn through mostly, three in four
 BAD_FILES = st.one_of(
     st.sampled_from([None, "dir", b"", b'{"kind":', b"[1]", b"domain: 1 2\nP(1\n",
                      b"P\nP\n", b"#5\n", b"\xff"]),
     st.text(max_size=60).map(str.encode),
     st.binary(max_size=60),
 )
-CHANNEL_FILES = st.one_of(BAD_FILES, st.sampled_from([
-    b'{"kind": "perfect"}', b'{"kind": "bitflip", "p": 0.5, "seed": 3}',
-    b'{"kind": "truncate", "max_bits": 9}',
-    b'{"kind": "substitute", "map": {"80": 81, "81": 80}}']))
+CHANNEL_FILES = mostly(st.sampled_from(WELL_FORMED_CHANNELS), BAD_FILES)
 WORLD_FILES = st.one_of(BAD_FILES, st.sampled_from([
     b"domain: 1 2\nP(1)\n~Q(2)\n", b"domain: 1\n#5(1)\n", b"domain: 3\n"]))
 PREDICATE_FILES = st.one_of(BAD_FILES, st.sampled_from([
@@ -653,7 +675,9 @@ def test_exit_code_contract_holds_for_every_subcommand(contract_dir, data):
     assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_IO)
     if "--json" in argv and out.getvalue():
         json.loads(out.getvalue())
-    if argv[0] in ("transmit", "check") and code in (EXIT_OK, EXIT_NEGATIVE):
+    reached = argv[0] in ("transmit", "check") and code in (EXIT_OK, EXIT_NEGATIVE)
+    event("reached a verdict" if reached else "no verdict")
+    if reached:
         assert_status_is_the_scanned_verdict(argv, code, out.getvalue())
 
 
@@ -672,18 +696,13 @@ def assert_status_is_the_scanned_verdict(argv, code, out):
 
 # the well-formed channel files and propositions of the strategies above, so
 # every pair of them is checked, not only the few the contract test draws
-@pytest.mark.parametrize("channel", [
-    b'{"kind": "perfect"}', b'{"kind": "bitflip", "p": 0.5, "seed": 3}',
-    b'{"kind": "bitflip", "p": 0.01, "seed": 3}', b'{"kind": "truncate", "max_bits": 9}',
-    b'{"kind": "truncate", "max_bits": 120}',
-    b'{"kind": "substitute", "map": {"80": 81, "81": 80}}'])
+@pytest.mark.parametrize("channel", WELL_FORMED_CHANNELS)
 @pytest.mark.parametrize("command", ["transmit", "check"])
 def test_check_and_transmit_exit_zero_iff_transferable(tmp_path, capsys, channel,
                                                        command):
     path = tmp_path / "channel.json"
     path.write_bytes(channel)
-    for text in ["ON(112)", "~ON(112)", "NT(*)", "#5(1)", "P(1)", "Q(81)",
-                 "NT(<0100024f4e00000170>)"]:
+    for text in WELL_FORMED_TEXTS:
         for extra in ([], ["--json"]):
             argv = [command, text, "--channel", str(path), *extra]
             code, out, _ = run_cli(capsys, *argv)

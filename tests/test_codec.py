@@ -113,8 +113,9 @@ def test_all_marker_decodes_to_all():
 # Reference codec: encode_frame and decode_frame as they were before the
 # field-tuple split.  The properties below require the codec to match them:
 # equal results, or the same exception type and message.  The reference
-# encoder recurses into itself, so every nesting layer is checked against
-# an encoding the codec did not build.
+# encoder recurses into itself, and the reference decoder decodes nested
+# frames through reference_nested_object, so every nesting layer is checked
+# against an encoding and a decoding the codec did not build.
 
 def reference_min_be_bytes(n: int) -> bytes:
     return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
@@ -159,7 +160,7 @@ def reference_decode_frame(f: Frame) -> Proposition:
     elif f.object_tag == "nested":
         if f.depth > 8:
             raise FrameDecodeError("nesting depth exceeded")
-        obj = ObjectRef.nested(f.object_frame)
+        obj = reference_nested_object(f.object_frame)
     else:
         raise FrameDecodeError(f"bad object tag: {f.object_tag!r}")
     return Proposition(f.polarity, pred, obj)

@@ -91,7 +91,9 @@ def test_build_Bprime_structure():
 def test_build_Bprime_nt_form_is_distinct():
     t = build_enumeration([P], 2)
     canonical = build_Bprime(t, 1)
-    alt = build_Bprime(t, 1, nt_form=True)
+    # the alternative (0, NT, nested (1, P_1, 1)) reading of B'(1)
+    inner = encode_frame(Proposition(True, P, ObjectRef.num(1)))
+    alt = encode_frame(Proposition(False, NT, ObjectRef.nested(inner)))
     assert decode_frame(alt).predicate == NT
     assert body_bytes(canonical) != body_bytes(alt)
 
@@ -250,12 +252,9 @@ def reference_build_B(t, n):
     return encode_frame(Proposition(True, NT, ObjectRef.nested(inner)))
 
 
-def reference_build_Bprime(t, n, nt_form=False):
+def reference_build_Bprime(t, n):
     if not 1 <= n <= len(t.predicates):
         raise IndexError(f"n out of range 1..{len(t.predicates)}: {n}")
-    if nt_form:
-        inner = encode_frame(Proposition(True, t.predicates[n - 1], ObjectRef.num(n)))
-        return encode_frame(Proposition(False, NT, ObjectRef.nested(inner)))
     inner = encode_frame(Proposition(False, t.predicates[n - 1], ObjectRef.num(n)))
     return encode_frame(Proposition(False, TR, ObjectRef.nested(inner)))
 
@@ -387,9 +386,7 @@ def assert_builders_match_reference(t):
     assert outcome(find_fixed_point, t) == outcome(reference_find_fixed_point, t)
     for n in range(-1, len(t.predicates) + 2):
         assert outcome(build_B, t, n) == outcome(reference_build_B, t, n)
-        for nt_form in (False, True):
-            assert (outcome(build_Bprime, t, n, nt_form)
-                    == outcome(reference_build_Bprime, t, n, nt_form))
+        assert outcome(build_Bprime, t, n) == outcome(reference_build_Bprime, t, n)
 
 
 @pytest.mark.parametrize("size", range(1, 11))

@@ -375,6 +375,26 @@ def reference_verify_activeness(ts, corpus):
     return ActivenessReport(injective=True)
 
 
+class ReferenceTruth:
+    """T as a memo of its own: each code is evaluated once, and a code that
+    evaluates to None reads False, with a note."""
+
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
+        self.memo = {}
+        self.notes = []
+
+    def __call__(self, code):
+        if code not in self.memo:
+            value = self.evaluate(code)
+            if value is None:
+                self.notes.append(f"code {code.hex()} undecodable or not "
+                                  "world-evaluable; mapped to False")
+                value = False
+            self.memo[code] = value
+        return self.memo[code]
+
+
 def reference_truth_from_channel(c, w):
     probe = [] if c.ts.analytic_injective else ground_corpus(w)
     if probe:
@@ -394,7 +414,7 @@ def reference_truth_from_channel(c, w):
         except ValueError:
             return None
 
-    return TruthPredicate(evaluate)
+    return ReferenceTruth(evaluate)
 
 
 def reference_verify_bridge(c, w, corpus):
@@ -556,7 +576,7 @@ def truth_answers(truth_of, config, w, codes):
     truth predicate raised; then the channel's uses."""
     c = make_channel(config)
     truth = outcome(truth_of, c, w)
-    if isinstance(truth, TruthPredicate):
+    if isinstance(truth, (TruthPredicate, ReferenceTruth)):
         truth = [truth(code) for code in codes + codes], truth.notes
     return truth, c.uses
 
