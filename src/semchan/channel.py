@@ -217,7 +217,8 @@ class Transcript:
     @property
     def transferred(self) -> bool:
         """What arrived is equivalent to what was sent."""
-        return self.ok and equivalent(self.recv_proposition, self.sent_proposition)
+        recv = self.recv_proposition
+        return recv is not None and equivalent(recv, self.sent_proposition)
 
     @property
     def sent(self) -> str:
@@ -292,15 +293,18 @@ def transmit(c: Channel, p: Proposition) -> Transcript:
 
     Decode failure is a first-class outcome: the transcript's error says
     why nothing arrived.  Each call advances the channel's use counter.
-    A stream that arrives untouched is not scanned, because
+    A stream that arrives untouched returns at once, unscanned, because
     ``receive(encode(p)) == ([p], [])``: its ``recv_proposition`` is then
     ``p`` itself, a frozen value equal to what ``receive`` would build.
     """
     n = c.uses
     c.uses += 1
+    ts = c.ts
     sent_bytes = encode(p)
-    recv_bytes = c.ts.apply(sent_bytes, n)
-    props, diags = ([p], []) if recv_bytes == sent_bytes else receive(recv_bytes)
+    recv_bytes = ts.apply(sent_bytes, n)
+    if recv_bytes == sent_bytes:
+        return Transcript(p, p, sent_bytes, recv_bytes, None, ts.kind, ts.seed, n)
+    props, diags = receive(recv_bytes)
     recv_prop: Optional[Proposition] = None
     error: Optional[str] = None
     if len(props) == 1 and not diags:
@@ -310,16 +314,7 @@ def transmit(c: Channel, p: Proposition) -> Transcript:
     else:
         detail = "; ".join(map(str, diags))
         error = f"no frame recovered ({detail or 'empty stream'})"
-    return Transcript(
-        sent_proposition=p,
-        recv_proposition=recv_prop,
-        sent_bytes=sent_bytes,
-        recv_bytes=recv_bytes,
-        error=error,
-        ts_kind=c.ts.kind,
-        seed=c.ts.seed,
-        n=n,
-    )
+    return Transcript(p, recv_prop, sent_bytes, recv_bytes, error, ts.kind, ts.seed, n)
 
 
 @dataclass(slots=True)

@@ -54,17 +54,21 @@ def build_enumeration(preds: list[PredicateCode], max_n: int) -> EnumerationTabl
         raise ValueError("predicate list must be nonempty")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    if len(set(preds)) != len(preds):
+    # PredicateCode equality is equality of values, and 5 != "5", so the
+    # values stand in for the codes without the generated __eq__/__hash__
+    values = [pred.value for pred in preds]
+    if len(set(values)) != len(values):
         raise ValueError("duplicate predicate in enumeration")
     full = list(preds)
     for builtin in (NT, TR):
-        if builtin not in full:
+        if builtin.value not in values:
             full.append(builtin)
+            values.append(builtin.value)
     return EnumerationTable(
         predicates=tuple(full),
         max_n=max_n,
-        k_nt=full.index(NT) + 1,
-        k_tr=full.index(TR) + 1,
+        k_nt=values.index(NT.value) + 1,
+        k_tr=values.index(TR.value) + 1,
     )
 
 

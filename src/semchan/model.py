@@ -159,9 +159,11 @@ def equivalent(p: Proposition, q: Proposition) -> bool:
     """Logical equivalence of atoms, read structurally.
 
     Nested objects compare by their propositions; the all-objects atom is
-    its own atom and is never expanded into a conjunction here.
+    its own atom and is never expanded into a conjunction here.  The
+    identity test comes first: a stream that arrives untouched hands back
+    the sent object itself, and a frozen value is equal to itself.
     """
-    return p == q
+    return p is q or p == q
 
 
 def _spelling(pred: PredicateCode) -> str:  # NAME or '#' INDEX, as parsed

@@ -199,17 +199,19 @@ def fields_body(pol, ptag, pbytes, kind, number, nested, depth: int = 0) -> byte
         raise WireSizeError("nesting depth exceeded")
     if len(pbytes) > MAX_PREDICATE_BYTES:
         raise WireSizeError("predicate field too long")
-    if kind == "number":
-        otag, obytes = OTAG_NUMBER, _min_be_bytes(number)
+    if kind == "number":  # _min_be_bytes(number), inlined on the send path
+        otag = OTAG_NUMBER
+        obytes = number.to_bytes(max(1, (number.bit_length() + 7) // 8), "big")
     elif kind == "all":
         otag, obytes = OTAG_ALL, b""
     elif isinstance(nested, Frame):
         otag, obytes = OTAG_NESTED, body_bytes(nested, depth + 1)
     else:
         otag, obytes = OTAG_NESTED, fields_body(*frame_fields(nested), depth + 1)
-    out = (bytes((1 if pol else 0, PTAG_NAME if ptag == "name" else PTAG_INDEX,
+    head = bytes((1 if pol else 0, PTAG_NAME if ptag == "name" else PTAG_INDEX,
                   len(pbytes)))
-           + pbytes + bytes((otag,)) + len(obytes).to_bytes(2, "big") + obytes)
+    out = b"".join((head, pbytes, bytes((otag,)), len(obytes).to_bytes(2, "big"),
+                    obytes))
     if len(out) > MAX_BODY_LEN:
         raise WireSizeError("BODY exceeds 65535 bytes")
     return out
@@ -274,8 +276,12 @@ def parse_body(data: bytes, depth: int = 0):
 
 
 def _framed(body: bytes) -> bytes:
-    framed = (VERSION << 16 | len(body)).to_bytes(3, "big") + body
-    return SYNC + framed + crc16(framed).to_bytes(2, "big")
+    """SYNC || VER || LEN || BODY || CRC, joined once.  crc_hqx takes its
+    starting register as an argument, so the CRC of VER || LEN, carried on
+    over BODY, is crc16(VER || LEN || BODY) without joining that run."""
+    head = (VERSION << 16 | len(body)).to_bytes(3, "big")
+    crc = binascii.crc_hqx(body, binascii.crc_hqx(head, 0xFFFF))
+    return b"".join((SYNC, head, body, crc.to_bytes(2, "big")))
 
 
 def frame_to_wire(f: Frame) -> bytes:

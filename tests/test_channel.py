@@ -432,3 +432,16 @@ def test_transmit_matches_reference_that_always_scans(props):
             assert got == want
             assert got.to_json() == want.to_json()
         assert c.uses == ref.uses == len(props)
+
+
+@settings(max_examples=60, deadline=None)
+@example([ON112, parse_proposition("AB(1)"), parse_proposition("~NT(*)")])
+@given(st.lists(GENPROPS, min_size=1, max_size=4))
+def test_transmit_hands_back_the_sent_object_exactly_when_untouched(props):
+    # the untouched stream's early return passes p itself; a scanned stream
+    # builds a new proposition, even one equal to p (the negating system
+    # returns a frame of the same length)
+    for c in untouched_shortcut_channels(encode(props[0])):
+        for p in props:
+            t = transmit(c, p)
+            assert (t.recv_proposition is p) == (t.recv_bytes == t.sent_bytes)

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from semchan import (
     Frame,
@@ -70,6 +71,41 @@ def test_enumeration_rejects_empty_and_duplicates():
         build_enumeration([P, P], 1)
     with pytest.raises(ValueError):
         build_enumeration([P], 0)
+
+
+def reference_build_enumeration(preds, max_n):
+    """build_enumeration over PredicateCode comparisons: the codes' own
+    __eq__ and __hash__, not their values."""
+    if not preds:
+        raise ValueError("predicate list must be nonempty")
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    if len(set(preds)) != len(preds):
+        raise ValueError("duplicate predicate in enumeration")
+    full = list(preds)
+    for builtin in (NT, TR):
+        if builtin not in full:
+            full.append(builtin)
+    return EnumerationTable(tuple(full), max_n, full.index(NT) + 1,
+                            full.index(TR) + 1)
+
+
+# fresh codes on every draw, so no comparison is settled by identity; the
+# index 5 sits beside the name "5", and NT/Tr beside other-case spellings
+ENUM_PREDICATES = st.sampled_from(
+    ["P", "Q", "5", "NT", "Tr", "Err", "nt", "TR", 5, 1, 2**64]).map(PredicateCode)
+
+
+@settings(max_examples=300)
+@example([PredicateCode(5), PredicateCode("5")], 1)
+@example([PredicateCode("Tr"), PredicateCode(5), PredicateCode("NT")], 2)
+@example([PredicateCode("5"), PredicateCode(5), PredicateCode("5")], 2)
+@given(st.one_of(st.lists(ENUM_PREDICATES, max_size=8, unique=True),
+                 st.lists(ENUM_PREDICATES, max_size=8)),
+       st.integers(-1, 4))
+def test_build_enumeration_matches_reference(preds, max_n):
+    assert (outcome(build_enumeration, preds, max_n)
+            == outcome(reference_build_enumeration, preds, max_n))
 
 
 def test_build_B_structure():
