@@ -23,7 +23,7 @@ from .diagonal import (
 from .model import (_COMMENT_RE, PredicateCode, load_world, parse_proposition,
                     render_proposition)
 from .tarski import ground_corpus, verify_bridge
-from .transfer import TRANSFERABLE, check_transferable
+from .transfer import NON_TRANSFERABLE, TRANSFERABLE, check_transferable
 from .wire import decode_frame, encode, encode_frame, payload_bits, receive
 
 EXIT_OK = 0
@@ -128,7 +128,7 @@ def cmd_demo(args) -> int:
     frame = build_NT_all() if args.which == "liar" else build_Err_all()
     report = analyze_self_reference(c, frame)
     _emit(args, report.to_json(), _paradox_text(report))
-    return EXIT_OK
+    return EXIT_NEGATIVE if report.verdict.kind == NON_TRANSFERABLE else EXIT_OK
 
 
 def cmd_bridge(args) -> int:

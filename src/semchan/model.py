@@ -183,7 +183,7 @@ def render_proposition(p: Proposition) -> str:
     elif p.object.kind == "all":
         obj = "*"
     else:
-        obj = "<" + fields_body(*frame_fields(p.object.inner)).hex() + ">"
+        obj = "<" + body_bytes(frame_fields(p.object.inner)).hex() + ">"
     return f"{sign}{name}({obj})"
 
 
@@ -398,5 +398,5 @@ def load_world(path: str) -> World:
 
 
 # the wire encoding builds on the types above
-from .wire import (BodyError, FrameDecodeError, decode_frame, fields_body,
+from .wire import (BodyError, FrameDecodeError, body_bytes, decode_frame,
                    frame_fields, parse_body)

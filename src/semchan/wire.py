@@ -2,11 +2,13 @@
 
 A proposition's fields are a polarity bit, a predicate (name bytes or a
 numeric index) and an object (number, all-objects marker, or a nested
-proposition).  ``frame_fields`` gives them as a tuple in ``Frame``'s
-order, ``fields_body`` serializes the tuple as a BODY and ``encode``
-frames the BODY; back, ``receive`` parses each BODY to its fields and
-``decode_fields`` builds the proposition.  A ``Frame`` holds the fields
-as a value (``encode_frame``, ``decode_frame``).  ``payload_bits``
+proposition).  A ``Frame`` is that field tuple, a ``NamedTuple``, and
+``frame_fields`` gives the same tuple unbuilt, with a nested object left
+a proposition.  There is one serializer, one parser and one decoder:
+``body_bytes`` serializes a ``Frame`` or ``frame_fields(p)`` as a BODY,
+``parse_body`` parses a BODY to a ``Frame`` and ``decode_frame`` builds
+the proposition.  So ``encode`` builds no ``Frame``, and ``receive``
+builds one for each frame that reaches decode.  ``payload_bits``
 renders the display bits Polarity || predicate || object, which are not
 self-delimiting.
 
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import binascii
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (MAX_NESTING_DEPTH, MAX_OBJECT_NUMBER, MAX_PREDICATE_BYTES,
                     ObjectRef, PredicateCode, Proposition)
@@ -79,9 +82,8 @@ def _min_be_bytes(n: int) -> bytes:
     return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
-    """Structured encoding of a proposition.
+class Frame(NamedTuple):
+    """Structured encoding of a proposition: its field tuple.
 
     predicate_tag is "name" (character bytes) or "index" (minimal
     big-endian bytes of the index); object_tag is "number", "all" or
@@ -129,8 +131,10 @@ def encode_frame(p: Proposition) -> Frame:
     return Frame(*fields, None if inner is None else encode_frame(inner))
 
 
-def decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
-    """decode_frame of a frame given as its fields, in Frame's order."""
+def decode_frame(f: Frame) -> Proposition:
+    """Exact inverse of encode_frame on the valid domain; raises
+    FrameDecodeError for every well-typed frame outside it."""
+    pol, ptag, pbytes, kind, number, nested = f
     if ptag == "name":
         try:
             pred = PredicateCode(pbytes.decode("ascii"))
@@ -157,13 +161,6 @@ def decode_fields(pol, ptag, pbytes, kind, number, nested) -> Proposition:
     else:
         raise FrameDecodeError(f"bad object tag: {kind!r}")
     return Proposition(pol, pred, obj)
-
-
-def decode_frame(f: Frame) -> Proposition:
-    """Exact inverse of encode_frame on the valid domain; raises
-    FrameDecodeError for every well-typed frame outside it."""
-    return decode_fields(f.polarity, f.predicate_tag, f.predicate_bytes,
-                         f.object_tag, f.object_number, f.object_frame)
 
 
 def payload_bits(f: Frame) -> str:
@@ -193,8 +190,10 @@ def crc16(data: bytes) -> int:
     return binascii.crc_hqx(data, 0xFFFF)
 
 
-def fields_body(pol, ptag, pbytes, kind, number, nested, depth: int = 0) -> bytes:
-    """body_bytes of a frame given as its fields, or as frame_fields."""
+def body_bytes(f, depth: int = 0) -> bytes:
+    """Serialize a frame's BODY per the grammar; deterministic.  f is a
+    Frame or frame_fields(p), whose nested object is a Proposition."""
+    pol, ptag, pbytes, kind, number, nested = f
     if depth > MAX_NESTING_DEPTH:
         raise WireSizeError("nesting depth exceeded")
     if len(pbytes) > MAX_PREDICATE_BYTES:
@@ -204,10 +203,10 @@ def fields_body(pol, ptag, pbytes, kind, number, nested, depth: int = 0) -> byte
         obytes = number.to_bytes(max(1, (number.bit_length() + 7) // 8), "big")
     elif kind == "all":
         otag, obytes = OTAG_ALL, b""
-    elif isinstance(nested, Frame):
-        otag, obytes = OTAG_NESTED, body_bytes(nested, depth + 1)
+    elif isinstance(nested, Proposition):
+        otag, obytes = OTAG_NESTED, body_bytes(frame_fields(nested), depth + 1)
     else:
-        otag, obytes = OTAG_NESTED, fields_body(*frame_fields(nested), depth + 1)
+        otag, obytes = OTAG_NESTED, body_bytes(nested, depth + 1)
     head = bytes((1 if pol else 0, PTAG_NAME if ptag == "name" else PTAG_INDEX,
                   len(pbytes)))
     out = b"".join((head, pbytes, bytes((otag,)), len(obytes).to_bytes(2, "big"),
@@ -217,14 +216,8 @@ def fields_body(pol, ptag, pbytes, kind, number, nested, depth: int = 0) -> byte
     return out
 
 
-def body_bytes(f: Frame, depth: int = 0) -> bytes:
-    """Serialize a frame's BODY per the grammar; deterministic."""
-    return fields_body(f.polarity, f.predicate_tag, f.predicate_bytes,
-                       f.object_tag, f.object_number, f.object_frame, depth)
-
-
-def body_fields(data: bytes, depth: int = 0):
-    """parse_body, with the frame's fields, in Frame's order, for the Frame."""
+def parse_body(data: bytes, depth: int = 0):
+    """Parse one BODY at the start of data; returns (Frame, bytes consumed)."""
     if depth > MAX_NESTING_DEPTH:
         raise BodyError("nesting depth exceeded")
     size = len(data)
@@ -266,13 +259,7 @@ def body_fields(data: bytes, depth: int = 0):
         obj = "nested", 0, nested
     else:
         raise BodyError(f"bad OTAG byte 0x{otag:02x}")
-    return (bool(pol), ptag_name, pbytes, *obj), end
-
-
-def parse_body(data: bytes, depth: int = 0):
-    """Parse one BODY at the start of data; returns (Frame, bytes consumed)."""
-    fields, used = body_fields(data, depth)
-    return Frame(*fields), used
+    return Frame(bool(pol), ptag_name, pbytes, *obj), end
 
 
 def _framed(body: bytes) -> bytes:
@@ -292,7 +279,7 @@ def frame_to_wire(f: Frame) -> bytes:
 def encode(p: Proposition) -> bytes:
     """frame_to_wire(encode_frame(p)), without building the Frame; total on
     valid propositions, whose limits the model shares with the wire."""
-    return _framed(fields_body(*frame_fields(p)))
+    return _framed(body_bytes(frame_fields(p)))
 
 
 @dataclass(slots=True)
@@ -331,10 +318,10 @@ def _frame_at(stream: bytes, idx: int) -> tuple[Proposition | Diagnostic, int]:
     if ver != VERSION:
         return Diagnostic("version", idx, f"bad version 0x{ver:02x}"), idx + 1
     try:
-        fields, used = body_fields(stream[idx + 5:end - 2])
+        frame, used = parse_body(stream[idx + 5:end - 2])
         if used != length:
             raise BodyError("trailing bytes in BODY")
-        return decode_fields(*fields), end
+        return decode_frame(frame), end
     except BodyError as e:
         return Diagnostic("body", idx, str(e)), idx + 1
     except FrameDecodeError as e:

@@ -15,7 +15,7 @@ from genprops import gen_proposition
 from semchan import parse_proposition, receive, render_proposition
 from semchan.channel import load_channel
 from semchan.cli import EXIT_IO, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
-from semchan.transfer import TRANSFERABLE
+from semchan.transfer import NON_TRANSFERABLE, PARADOXICAL, TRANSFERABLE
 from semchan.wire import encode
 
 FIG4_BITS = "101001111010011101110000"
@@ -341,7 +341,7 @@ def test_demo_liar_json(capsys):
 def test_demo_liar_over_a_channel_that_drops_everything(capsys):
     code, out, _ = run_cli(capsys, "demo", "liar", "--channel",
                            str(SAMPLES / "dropper.json"), "--json")
-    assert code == 0
+    assert code == 1
     doc = json.loads(out)
     assert doc["structural_fidelity"] is False
     assert doc["verdict"]["verdict"] == "NonTransferable"
@@ -675,10 +675,24 @@ def test_exit_code_contract_holds_for_every_subcommand(contract_dir, data):
     assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_IO)
     if "--json" in argv and out.getvalue():
         json.loads(out.getvalue())
-    reached = argv[0] in ("transmit", "check") and code in (EXIT_OK, EXIT_NEGATIVE)
+    reached = argv[0] in ("transmit", "check", "demo") and code in (EXIT_OK,
+                                                                     EXIT_NEGATIVE)
     event("reached a verdict" if reached else "no verdict")
-    if reached:
+    if reached and argv[0] == "demo":
+        assert_demo_status_is_its_verdict(argv, code, out.getvalue())
+    elif reached:
         assert_status_is_the_scanned_verdict(argv, code, out.getvalue())
+
+
+def assert_demo_status_is_its_verdict(argv, code, out):
+    """demo exits 1 iff the printed verdict is NonTransferable: Paradoxical
+    and Transferable exit 0."""
+    if "--json" in argv:
+        verdict = json.loads(out)["verdict"]["verdict"]
+    else:
+        verdict = out.splitlines()[-1].removeprefix("verdict: ")
+    assert verdict in (TRANSFERABLE, NON_TRANSFERABLE, PARADOXICAL)
+    assert (code == EXIT_NEGATIVE) == (verdict == NON_TRANSFERABLE)
 
 
 def assert_status_is_the_scanned_verdict(argv, code, out):

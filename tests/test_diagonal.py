@@ -36,7 +36,7 @@ from semchan.diagonal import (
 from semchan.transfer import NON_TRANSFERABLE, PARADOXICAL, TRANSFERABLE, Verdict
 from semchan.wire import body_bytes
 
-from test_codec import outcome
+from test_wire import outcome
 
 P = PredicateCode("P")
 Q = PredicateCode("Q")

@@ -20,7 +20,7 @@ from semchan.model import InconsistentWorldError, PropositionSyntaxError, load_w
 from semchan.wire import encode, receive
 
 from genprops import corpus, gen_proposition
-from test_codec import outcome
+from test_wire import outcome
 
 names = st.text(
     alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-",

@@ -35,7 +35,7 @@ from semchan.channel import (ActivenessReport, BitFlipTS, PerfectTS, SubstituteT
 from semchan.tarski import BridgeRow, ChannelNotActiveError, NotInvertibleError
 from semchan.wire import encode, receive_one
 
-from test_codec import outcome
+from test_wire import outcome
 
 ON = PredicateCode("ON")
 P = PredicateCode("P")

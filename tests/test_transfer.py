@@ -147,7 +147,6 @@ VALUES = {
     "ObjectRef": lambda: ON112.object,
     "Proposition": lambda: ON112,
     "World": _world,
-    "Frame": lambda: encode_frame(ON112),
     "EnumerationTable": _table,
     "BridgeRow": lambda: _bridge().rows[0],
 }
@@ -176,3 +175,15 @@ def test_values_stay_frozen_and_hashable(name):
     assert hasattr(v, "__dict__") is (name == "World")
     assert pickle.loads(pickle.dumps(v)) == v
     assert copy.copy(v) == v
+
+
+def test_frame_is_an_immutable_field_tuple():
+    # a Frame is a value too, but a NamedTuple, not a frozen dataclass
+    f = encode_frame(ON112)
+    with pytest.raises(AttributeError):
+        setattr(f, "polarity", f.polarity)
+    assert hash(f) == hash(encode_frame(ON112))
+    assert not hasattr(f, "__dict__")
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert copy.copy(f) == f
+    assert f == (True, "name", b"ON", "number", 112, None)
