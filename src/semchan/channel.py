@@ -16,6 +16,7 @@ would build.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import re
@@ -104,6 +105,14 @@ class BitFlipTS(TransmissionSystem):
     identical outputs across processes.  At a fixed use the flip mask
     depends only on (seed, use, length), never on the data, so every use
     XORs a fixed mask and is a bijection.
+
+    The stream that transcripts replay is one ``random()`` draw per bit,
+    MSB first, from ``random.Random(f"bitflip:{seed}:{use}")``; a bit
+    flips iff its draw is below p.  A draw is k / 2**53 with
+    k = (a >> 5) << 26 | (b >> 6), where a and b are the next two 32-bit
+    Mersenne Twister outputs, so it is below p iff k < ceil(p * 2**53).
+    ``apply`` takes every a and b from one ``getrandbits`` call and
+    settles most bits on the top byte of a (k >> 45) alone.
     """
 
     kind = "bitflip"
@@ -115,19 +124,29 @@ class BitFlipTS(TransmissionSystem):
         self.seed = seed
 
     def apply(self, data: bytes, n: int) -> bytes:
-        if self.p == 0.0:
+        if self.p == 0.0 or not data:
             return data
-        # one draw per bit, in bit order: this stream is what transcripts
-        # replay, so the draw count and order must not change
-        draw = random.Random(f"bitflip:{self.seed}:{n}").random
-        p = self.p
-        flips = [i for i in range(len(data) * 8) if draw() < p]
-        if not flips:
+        bits = 8 * len(data)
+        # the 2 * bits words that one random() per bit would draw, in order:
+        # bit i's a is bytes 8i..8i+3, its b bytes 8i+4..8i+7
+        raw = random.Random(f"bitflip:{self.seed}:{n}").getrandbits(
+            64 * bits).to_bytes(8 * bits, "little")
+        t = math.ceil(self.p * 2**53)  # bit i flips iff k_i < t
+        edge = t >> 45  # 0..256: a top byte below it flips, above it does not
+        top = raw[3::8]
+        mask = int(top.translate(b"1" * edge + b"0" * (256 - edge)), 2)
+        if edge < 256:
+            # a top byte equal to edge: the whole k decides, about bits / 256
+            i = top.find(edge)
+            while i >= 0:
+                a = int.from_bytes(raw[8 * i:8 * i + 4], "little")
+                b = int.from_bytes(raw[8 * i + 4:8 * i + 8], "little")
+                if ((a >> 5) << 26 | b >> 6) < t:
+                    mask |= 1 << (bits - 1 - i)
+                i = top.find(edge, i + 1)
+        if not mask:
             return data
-        out = bytearray(data)
-        for i in flips:
-            out[i >> 3] ^= 0x80 >> (i & 7)
-        return bytes(out)
+        return (int.from_bytes(data, "big") ^ mask).to_bytes(len(data), "big")
 
     invert = apply  # undo use n: the same mask XORed again
 

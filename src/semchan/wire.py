@@ -259,7 +259,8 @@ def parse_body(data: bytes, depth: int = 0):
         obj = "nested", 0, nested
     else:
         raise BodyError(f"bad OTAG byte 0x{otag:02x}")
-    return Frame(bool(pol), ptag_name, pbytes, *obj), end
+    # every field is set, so skip the Python-level __new__ NamedTuple makes
+    return tuple.__new__(Frame, (bool(pol), ptag_name, pbytes, *obj)), end
 
 
 def _framed(body: bytes) -> bytes:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 
@@ -308,14 +309,42 @@ def truncate_reference(data: bytes, max_bits: int) -> bytes:
     return bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8))
 
 
+def threshold_extremes(test):
+    """Explicit examples at the flip threshold t = ceil(p * 2**53):
+    t >> 45 == 256 at p = 1.0, so no draw needs the exact check; t == 1 at
+    2**-53 and 5e-324; t >> 45 == 255 just below 1.0 and at 255/256."""
+    for p in (1.0, 2**-53, 5e-324, 255 / 256, math.nextafter(1.0, 0)):
+        for data in (b"", b"\x5a", bytes(range(64))):
+            test = example(data=data, p=p, seed=7, n=3)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.binary(max_size=64),
        p=st.one_of(st.sampled_from([0.0, 1.0, 0.01, 0.5]),
                    st.floats(min_value=0.0, max_value=1.0)),
        seed=st.integers(min_value=-2**63, max_value=2**63),
        n=st.integers(min_value=0, max_value=10**9))
+@threshold_extremes
 def test_bitflip_matches_per_bit_reference(data, p, seed, n):
-    assert BitFlipTS(p, seed).apply(data, n) == bitflip_reference(data, p, seed, n)
+    got = BitFlipTS(p, seed).apply(data, n)
+    expected = bitflip_reference(data, p, seed, n)
+    assert got == expected
+    if expected == data:
+        assert got is data
+
+
+@pytest.mark.parametrize("seed,n", [(0, 0), (7, 3), (42, 1), (-5, 10**9), (2**63, 17)])
+def test_bitflip_matches_reference_at_each_draw_of_the_stream(seed, n):
+    # a draw d, read as p, puts k_i exactly at the threshold, so bit i takes
+    # the exact check on both words, which a random p reaches with odds of
+    # 2**-27 per bit; one ulp either side moves it across or not
+    data = bytes(range(0, 256, 9))
+    rng = random.Random(f"bitflip:{seed}:{n}")
+    for d in [rng.random() for _ in range(8 * len(data))]:
+        for p in (d, math.nextafter(d, 2), math.nextafter(d, -1)):
+            got = BitFlipTS(p, seed).apply(data, n)
+            assert got == bitflip_reference(data, p, seed, n), (d, p)
 
 
 @settings(max_examples=100, deadline=None)
