@@ -78,14 +78,15 @@ def cmd_transmit(args) -> int:
 
 def _load_predicates(path: str) -> list[PredicateCode]:
     """One distinct predicate name a line; comments as in a world file."""
-    preds = []
+    preds, seen = [], set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             if line := _COMMENT_RE.split(raw, 1)[0].strip():
                 try:
                     pred = PredicateCode(line)
-                    if pred in preds:
+                    if line in seen:
                         raise ValueError(f"duplicate predicate: {line!r}")
+                    seen.add(line)
                     preds.append(pred)
                 except ValueError as e:
                     raise ValueError(f"{path}:{lineno}: {e}") from None

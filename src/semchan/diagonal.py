@@ -15,6 +15,7 @@ total on its precondition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .channel import Channel, transmit
@@ -114,30 +115,38 @@ class FixedPointReport:
         }
 
 
+@lru_cache(typed=True)
+def _diagonal(pred: PredicateCode, k: int, pred_prime: PredicateCode,
+              k_prime: int) -> tuple[Frame, Frame, bool, bool]:
+    """Both diagonal rows and identities, from the two slots they read."""
+    left = encode_frame(_about(True, NT, Proposition(True, pred, ObjectRef.num(k))))
+    right = _about(True, NT, Proposition(True, pred, ObjectRef.num(k)))
+    left_p = encode_frame(_about(False, TR, Proposition(
+        False, pred_prime, ObjectRef.num(k_prime))))
+    right_p = _about(False, TR, Proposition(
+        False, pred_prime, ObjectRef.num(k_prime)))
+    return (left, left_p, frame_to_wire(left) == encode(right),
+            frame_to_wire(left_p) == encode(right_p))
+
+
 def find_fixed_point(t: EnumerationTable) -> FixedPointReport:
     """Self-apply the derived rows at their own indices.
 
     Builds both sides of the diagonal identity independently -- the B
     row evaluated at n = k, and NT applied to the frame of the k-th
     predicate at object k -- and exhibits their bit-level equality.
+    The index checks run on every call.  The frames and identities are
+    built once per (slot predicate, index) pair of NT's and Tr's slots,
+    in a typed memo of at most 128 entries, so ``1`` and ``True`` stay
+    apart; each call returns a fresh report that shares the immutable
+    ``Frame``s.
     """
     k, k_prime = t.k_nt, t.k_tr
     npred = len(t.predicates)
     if not (1 <= k <= npred and 1 <= k_prime <= npred):
         raise ValueError("NT/Tr missing from enumeration")
-    left = build_B(t, k)
-    right = _about(True, NT, Proposition(True, t.predicates[k - 1], ObjectRef.num(k)))
-    left_p = build_Bprime(t, k_prime)
-    right_p = _about(False, TR, Proposition(
-        False, t.predicates[k_prime - 1], ObjectRef.num(k_prime)))
-    return FixedPointReport(
-        k=k,
-        k_prime=k_prime,
-        frame_star=left,
-        frame_star_prime=left_p,
-        identity_holds=frame_to_wire(left) == encode(right),
-        identity_prime_holds=frame_to_wire(left_p) == encode(right_p),
-    )
+    return FixedPointReport(k, k_prime, *_diagonal(
+        t.predicates[k - 1], k, t.predicates[k_prime - 1], k_prime))
 
 
 def build_NT_all() -> Frame:

@@ -285,6 +285,17 @@ def test_diagonalize(capsys, tmp_path):
     assert doc["identity_holds"] and doc["identity_prime_holds"]
 
 
+def test_diagonalize_sample_prints_the_same_document_twice(capsys):
+    argv = ["diagonalize", "--predicates", str(SAMPLES / "predicates.txt"), "--json"]
+    first = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv) == first
+    code, out, _ = first
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["frame_star_hex"] == "0100024e540100090100024e5400000103"
+    assert doc["identity_holds"] and doc["identity_prime_holds"]
+
+
 def test_diagonalize_has_no_max_n_option(capsys, tmp_path):
     preds = tmp_path / "preds.txt"
     preds.write_text("P\nQ\n")
@@ -314,6 +325,16 @@ def test_repeated_predicate_is_refused_at_its_line(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}:3: duplicate predicate: 'P'\n"
+
+
+def test_repeat_after_thousands_of_names_is_refused_at_its_line(capsys, tmp_path):
+    path = tmp_path / "preds.txt"
+    path.write_text("".join(f"P{i}\n" for i in range(4000)) + "P1234\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagonalize", "--predicates", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}:4001: duplicate predicate: 'P1234'\n"
 
 
 def test_demo_liar(capsys):

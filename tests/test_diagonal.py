@@ -32,6 +32,7 @@ from semchan.diagonal import (
     FixedPointReport,
     ParadoxReport,
     TraceStep,
+    _diagonal,
 )
 from semchan.transfer import NON_TRANSFERABLE, PARADOXICAL, TRANSFERABLE, Verdict
 from semchan.wire import body_bytes
@@ -435,6 +436,65 @@ def test_builders_match_reference(size):
     (0, 0), (0, 2), (2, 0), (3, 2), (2, 4), (4, 3), (1, 1), (2, 3)])
 def test_builders_match_reference_off_indices(k_nt, k_tr):
     assert_builders_match_reference(EnumerationTable((P, NT, TR), 1, k_nt, k_tr))
+
+
+# find_fixed_point builds its frames in a memo keyed by NT's and Tr's slots;
+# these pin it to the reference whether the memo is cold or warm, and show
+# that the memo tells 1 from True, hands out no shared report and stays bounded
+
+OFF_INDEX_TABLES = [EnumerationTable((P, NT, TR), 1, k_nt, k_tr) for k_nt, k_tr in [
+    (0, 0), (0, 2), (2, 0), (3, 2), (2, 4), (4, 3), (1, 1), (2, 3),
+    (True, 3), (2, True), (1.0, 3)]]
+
+
+@pytest.mark.parametrize("size", range(1, 11))
+def test_fixed_point_matches_reference_cold_and_warm(size):
+    tables = [*enumeration_tables(size), *OFF_INDEX_TABLES]
+    for t in tables:
+        _diagonal.cache_clear()
+        expected = outcome(reference_find_fixed_point, t)
+        assert outcome(find_fixed_point, t) == expected
+        assert outcome(find_fixed_point, t) == expected
+    for t in tables:
+        assert outcome(find_fixed_point, t) == outcome(reference_find_fixed_point, t)
+
+
+def test_tables_sharing_both_slots_give_equal_reports():
+    a = build_enumeration([P, Q], 4)
+    b = build_enumeration([Q, P], 2)
+    assert a != b and (a.k_nt, a.k_tr) == (b.k_nt, b.k_tr) == (3, 4)
+    assert find_fixed_point(a) == find_fixed_point(b) == reference_find_fixed_point(b)
+
+
+@pytest.mark.parametrize("warm, table", [
+    (EnumerationTable((NT, P, TR), 1, 1, 3), EnumerationTable((NT, P, TR), 1, True, 3)),
+    (EnumerationTable((TR, NT, P), 1, 2, 1), EnumerationTable((TR, NT, P), 1, 2, True)),
+], ids=["k_nt", "k_tr"])
+def test_bool_index_raises_after_its_int_warmed_the_memo(warm, table):
+    _diagonal.cache_clear()
+    assert find_fixed_point(warm).identity_holds
+    with pytest.raises(TypeError, match="object number must be an int"):
+        find_fixed_point(table)
+
+
+def test_each_call_returns_a_fresh_report():
+    t = build_enumeration([P, Q], 3)
+    first = find_fixed_point(t)
+    first.frame_star = build_NT_all()
+    first.identity_holds = first.identity_prime_holds = False
+    second = find_fixed_point(t)
+    assert second is not first
+    assert second == reference_find_fixed_point(t)
+    assert find_fixed_point(t) is not second
+
+
+def test_fixed_point_memo_is_bounded():
+    _diagonal.cache_clear()
+    for i in range(200):
+        find_fixed_point(EnumerationTable((PredicateCode(f"P{i}"),), 1, 1, 1))
+    info = _diagonal.cache_info()
+    assert info.misses == 200
+    assert info.currsize <= 128
 
 
 def nested_objects():
