@@ -263,16 +263,13 @@ class World:
     non-builtin predicate of its literals with ``*`` or a domain object, in
     both polarities, so each memo stays within 2 * |predicates| *
     (|domain| + 1) entries with no size option.  ``_evaluated`` maps
-    received bytes -> ``holds`` value and is shared by the truth predicates
-    over the world (see ``truth_from_channel``); a bridge seeds it with each
-    own atom's code as it encodes the atom, the entry T would store once
-    that code arrives intact (see ``verify_bridge``).  ``_rows`` maps an atom ->
-    [row if T is false, row if T is true, wire code], each row built when a
-    bridge first needs it, and is shared by the bridges over the world (see
-    ``verify_bridge``); shared rows are why ``BridgeRow`` is frozen.  Neither
-    memo is a field, so equality, hashing and repr ignore them; the memos and
-    the index are set with ``object.__setattr__``, which is why ``World``,
-    unlike the other value records, keeps its ``__dict__`` and has no slots.
+    received bytes -> ``holds`` value for the truth predicates over the world
+    (see ``truth_from_channel``); ``_codes`` maps an atom -> its wire code for
+    the bridges over the world, and a bridge seeds ``_evaluated`` with each
+    code as it first encodes the atom (see ``verify_bridge``).  Neither memo
+    is a field, so equality, hashing and repr ignore them; the memos and the
+    index are set with ``object.__setattr__``, which is why ``World``, unlike
+    the other value records, keeps its ``__dict__`` and has no slots.
     """
 
     domain: FrozenSet[int]
@@ -300,7 +297,7 @@ class World:
                         )
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_evaluated", {})
-        object.__setattr__(self, "_rows", {})
+        object.__setattr__(self, "_codes", {})
 
     @staticmethod
     def build(

@@ -133,10 +133,10 @@ def decoder_from_truth(truth: TruthPredicate,
     return decode
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BridgeRow:
-    """One row of a bridge: the atom checked (the decoded frame, on the
-    diagonal row), its wire code and the two truth values.  It keeps the
+    """One row of a bridge report: the atom checked (the decoded frame, on
+    the diagonal row), its wire code and the two truth values.  It keeps the
     facts; ``proposition`` and ``code_hex`` are rendered when read."""
 
     atom: Proposition
@@ -205,48 +205,39 @@ def verify_bridge(c: Channel, w: World,
     literals and the corpus is empty, which leaves no predicate to build it.
 
     Only T(code) depends on the channel.  So the bridges over one world share
-    its memo ``w._rows``: each of the world's own atoms (see ``World``) is
-    encoded once per world, and its row for each truth value is built once
-    and shared by every report that has it, which is why ``BridgeRow`` is
-    frozen.  When an own atom p is first encoded, the truth memo
-    ``w._evaluated`` also gets code -> holds(w, p).  That entry is exact:
+    two memos (see ``World``): ``w._codes`` encodes each of the world's own
+    atoms once per world, and when an own atom p is first encoded, the truth
+    memo ``w._evaluated`` gets code -> holds(w, p).  That entry is exact:
     ``receive(encode(p))`` is ``([p], [])`` and ``holds`` never raises on an
     own atom, so it is what T would store once the code arrives intact, and
     a world's first bridge decodes only the received streams that are no
-    row's code (over perfect, the diagonal row's).  Neither memo drops an
-    entry, so an own atom's row reads its holds value from ``w._evaluated``
-    and ``holds`` runs once per own atom per world.  T is still asked on
-    every row, so uses, notes and errors are as without the memos.  Other
-    rows (foreign atoms, builtins, nested objects) are never stored.  Rows
-    keep their atom and code; only a failing row's text is rendered here,
-    for ``failures``.
+    row's code (over perfect, the diagonal row's).  So ``holds`` runs once
+    per own atom per world; any other row (foreign atoms, builtins, nested
+    objects) has a code that is never a key of ``w._evaluated`` and is
+    evaluated by ``holds``.  T is still asked on every row, so uses, notes
+    and errors are as without the memos.  Each report builds its own rows;
+    only a failing row's text is rendered here, for ``failures``.
     """
     corpus = list(corpus)
-    memo, evaluated = w._rows, w._evaluated
+    memo, evaluated = w._codes, w._evaluated
     codes: list[bytes] = []
-    entries: list[Optional[list]] = []  # [row if T false, row if T true, code]
     for p in corpus:
-        entry = memo.get(p)
-        if entry is None:
+        code = memo.get(p)
+        if code is None:
             code = encode(p)
             if w._owns(p):
-                entry = memo[p] = [None, None, code]
+                memo[p] = code
                 evaluated[code] = holds(w, p)  # receive(code) is ([p], [])
-        else:
-            code = entry[2]
         codes.append(code)
-        entries.append(entry)
     truth = _truth(c, w, corpus, codes) if corpus else truth_from_channel(c, w)
     rows: list[BridgeRow] = []
     failures: list[str] = []
-    for p, code, entry in zip(corpus, codes, entries):
-        t_val = truth(code)
-        row = None if entry is None else entry[t_val]  # False, True index 0, 1
-        if row is None:
-            h_val = holds(w, p) if entry is None else evaluated[code]
-            row = BridgeRow(p, code, t_val, h_val, t_val == h_val)
-            if entry is not None:
-                entry[t_val] = row
+    for p, code in zip(corpus, codes):
+        t = truth(code)
+        h = evaluated.get(code)
+        if h is None:
+            h = holds(w, p)
+        row = BridgeRow(p, code, t, h, t == h)
         if not row.agree:
             failures.append(row.proposition)
         rows.append(row)

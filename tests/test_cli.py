@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from genprops import gen_proposition
-from semchan import parse_proposition, receive, render_proposition
+from semchan import (ground_corpus, load_world, make_channel, parse_proposition, receive,
+                     render_proposition, verify_bridge)
 from semchan.channel import load_channel
 from semchan.cli import EXIT_IO, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from semchan.transfer import NON_TRANSFERABLE, PARADOXICAL, TRANSFERABLE
@@ -395,6 +397,42 @@ def test_bridge_over_index_predicates(capsys, perfect_cfg, tmp_path):
     assert doc["agree"] is True
     assert [r["proposition"] for r in doc["rows"] if not r["diagonal"]] == [
         "#5(1)", "~#5(1)", "#5(2)", "~#5(2)"]
+
+
+# sha256 of `semchan bridge --world samples/demo.world --channel <config> --json`
+# stdout and its exit status, one per channel config
+BRIDGE_DIGESTS = [
+    ({"kind": "perfect"},
+     "30cd60b63ec2c7bd7f82d1f7af2366f71cb55863fd111eb3e597892041a8ff8f", 0),
+    ({"kind": "truncate", "max_bits": 512},
+     "30cd60b63ec2c7bd7f82d1f7af2366f71cb55863fd111eb3e597892041a8ff8f", 0),
+    (json.loads((SAMPLES / "bitflip.json").read_text()),
+     "fc2898644cf8b21c0325a1bc7ea867d984d67777cae295ace0b1c73e09029bc4", 1),
+    ({"kind": "substitute", "map": {"65": 66, "66": 65}},
+     "bf908108208f1b40bad044920143161e28a3112cc3936ba16e2a39f09f97045c", 1),
+]
+
+
+@pytest.mark.parametrize("config,digest,status", BRIDGE_DIGESTS)
+def test_bridge_json_bytes_are_pinned(capsys, tmp_path, config, digest, status):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "bridge", "--world", str(SAMPLES / "demo.world"),
+                           "--channel", str(path), "--json")
+    assert code == status
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_bridges_over_one_world_print_the_pinned_bytes(order):
+    # the bridges share the world's memos, so each later bridge reuses codes
+    # and truth values that an earlier one stored
+    w = load_world(str(SAMPLES / "demo.world"))
+    for config, digest, status in BRIDGE_DIGESTS[::order]:
+        report = verify_bridge(make_channel(config), w, ground_corpus(w))
+        out = json.dumps(report.to_json()) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert report.agree is (status == 0)
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,7 +1,6 @@
 import itertools
 import random
 import re
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -586,7 +585,7 @@ def channel_outcomes(names, verify, truth_of, world_of):
     corpus, each with the channel's uses after it, or what it raised, then
     the truth predicate's answers on every ground code and two streams that
     do not decode.  world_of() gives the world of each call."""
-    codes = [encode(p) for p in ground_corpus(bridge_world())] + [b"", b"\xa5\x5a\x01"]
+    codes = [encode(p) for p in ground_corpus(world_of())] + [b"", b"\xa5\x5a\x01"]
     got = []
     for name in names:
         config = BRIDGE_CHANNELS[name]
@@ -601,15 +600,23 @@ def memo_bound(w):
     return 2 * len(w.predicates()) * (len(w.domain) + 1)
 
 
+# bridge_world() and a sample of small_worlds(), the first of them with no
+# literal, so no predicate
+FRESH_WORLDS = [bridge_world()] + list(itertools.islice(small_worlds(seed=3), 0, None, 40))
+
+
 @pytest.mark.parametrize("order", ["forward", "reversed", "twice"])
 def test_shared_world_matches_reference_on_fresh_worlds(order):
     names = list(BRIDGE_CHANNELS)
     names = {"forward": names, "reversed": names[::-1], "twice": names + names}[order]
-    w = bridge_world()
-    assert (channel_outcomes(names, verify_bridge, truth_from_channel, lambda: w)
-            == channel_outcomes(names, reference_verify_bridge,
-                                reference_truth_from_channel, bridge_world))
-    assert 0 < len(w._evaluated) <= memo_bound(w)
+    for world in FRESH_WORLDS:
+        w = World(world.domain, world.literals)
+        fresh = lambda: World(world.domain, world.literals)
+        assert (channel_outcomes(names, verify_bridge, truth_from_channel, lambda: w)
+                == channel_outcomes(names, reference_verify_bridge,
+                                    reference_truth_from_channel, fresh))
+        assert len(w._evaluated) <= memo_bound(w) and len(w._codes) <= memo_bound(w)
+        assert bool(w._evaluated) is bool(w.literals)
 
 
 def test_world_memo_spares_the_second_decode(monkeypatch):
@@ -678,9 +685,9 @@ def test_bytearray_system_matches_reference():
             == answers(reference_verify_bridge, reference_truth_from_channel))
 
 
-# The bridges over one world share each atom's code and row records through
-# w._rows.  The tests below pin what it stores, what it spares and what a
-# world's first bridge still decodes.
+# The bridges over one world share each own atom's code through w._codes.
+# The tests below pin what it stores, what it spares and what a world's first
+# bridge still decodes.
 
 def bridge_reports(w, names, corpus):
     """The bridge over each channel that is one-to-one on the corpus."""
@@ -785,8 +792,8 @@ def test_row_memo_is_bounded_by_its_atoms():
               for pred in w.predicates() for obj in objects for pol in (True, False)]
     for _ in range(2):
         bridge_reports(w, BRIDGE_CHANNELS, corpus * 2)
-    assert len(w._rows) == memo_bound(w)
-    assert all(encode(p) == code for p, (_, _, code) in w._rows.items())
+    assert len(w._codes) == memo_bound(w)
+    assert all(encode(p) == code for p, code in w._codes.items())
 
 
 def foreign_rows():
@@ -814,28 +821,5 @@ def test_row_memo_keeps_no_foreign_atom():
         assert (outcome(verify_bridge, make_channel(config), nt, ground_corpus(nt))
                 == outcome(reference_verify_bridge, make_channel(config), nt_world(),
                            ground_corpus(nt)))
-    assert w._rows == {} and w._evaluated == {}
-    assert set(nt._rows) == {parse_proposition("P(1)"), parse_proposition("~P(1)")}
-
-
-def test_bridge_rows_are_shared_only_when_equal():
-    w = bridge_world()
-    corpus = ground_corpus(w)
-    reports = bridge_reports(w, list(BRIDGE_CHANNELS) * 2, corpus)
-    shared = 0
-    for a, b in itertools.combinations(reports, 2):
-        for x, y in zip(a.rows[:-1], b.rows[:-1]):
-            assert (x is y) == (x == y)
-            shared += x is y
-    assert shared > 0
-    perfect, substitute = reports[:2]
-    assert all(x is y for x, y in zip(perfect.rows[:-1], reports[-2].rows[:-1]))
-    assert [x is y for x, y in zip(perfect.rows, substitute.rows)] == [
-        not holds(w, p) for p in corpus] + [False]
-
-
-def test_bridge_rows_are_frozen():
-    w = bridge_world()
-    row = verify_bridge(make_channel({}), w, ground_corpus(w)).rows[0]
-    with pytest.raises(FrozenInstanceError):
-        row.truth = not row.truth
+    assert w._codes == {} and w._evaluated == {}
+    assert set(nt._codes) == {parse_proposition("P(1)"), parse_proposition("~P(1)")}

@@ -139,6 +139,7 @@ REPORTS = {
     "ParadoxReport": _paradox,
     "FixedPointReport": lambda: find_fixed_point(_table()),
     "BridgeReport": _bridge,
+    "BridgeRow": lambda: _bridge().rows[0],
 }
 
 # values: hashed, used as dict keys, or shared between frames and reports
@@ -148,7 +149,6 @@ VALUES = {
     "Proposition": lambda: ON112,
     "World": _world,
     "EnumerationTable": _table,
-    "BridgeRow": lambda: _bridge().rows[0],
 }
 
 
