@@ -23,6 +23,7 @@ MAX_NESTING_DEPTH = 8
 _NAME_RE = re.compile(r"[A-Za-z0-9-]+")
 _DIGITS_RE = re.compile(r"[0-9]+")  # ASCII only: \d takes any script's digits
 _COMMENT_RE = re.compile(r"#(?![0-9])")
+_set_field = object.__setattr__  # sets a field of a frozen value
 
 
 class PropositionSyntaxError(ValueError):
@@ -135,11 +136,20 @@ class ObjectRef:
 
 @dataclass(frozen=True, slots=True)
 class Proposition:
-    """A signed 1-ary atom: polarity, predicate, object."""
+    """A signed 1-ary atom: polarity (an exact bool), predicate, object."""
 
     polarity: bool
     predicate: PredicateCode
     object: ObjectRef
+
+    # written by hand, not generated with a __post_init__, so the check costs
+    # no second call on the decode path, which builds one per nesting level
+    def __init__(self, polarity: bool, predicate: PredicateCode, object: ObjectRef):
+        if type(polarity) is not bool:  # 2 renders and encodes as True, yet != it
+            raise TypeError(f"polarity must be a bool, got {type(polarity)}")
+        _set_field(self, "polarity", polarity)
+        _set_field(self, "predicate", predicate)
+        _set_field(self, "object", object)
 
     def __hash__(self) -> int:
         # the fields == compares, in one call, not three generated __hash__es
@@ -183,7 +193,7 @@ def render_proposition(p: Proposition) -> str:
     elif p.object.kind == "all":
         obj = "*"
     else:
-        obj = "<" + body_bytes(frame_fields(p.object.inner)).hex() + ">"
+        obj = "<" + proposition_body(p.object.inner).hex() + ">"
     return f"{sign}{name}({obj})"
 
 
@@ -395,5 +405,5 @@ def load_world(path: str) -> World:
 
 
 # the wire encoding builds on the types above
-from .wire import (BodyError, FrameDecodeError, body_bytes, decode_frame,
-                   frame_fields, parse_body)
+from .wire import (BodyError, FrameDecodeError, decode_frame, parse_body,
+                   proposition_body)

@@ -1,14 +1,17 @@
-"""A proposition's bytes: proposition -> field tuple -> BODY -> frame, back.
+"""A proposition's bytes: proposition -> BODY -> frame, and back.
 
 A proposition's fields are a polarity bit, a predicate (name bytes or a
 numeric index) and an object (number, all-objects marker, or a nested
-proposition).  A ``Frame`` is that field tuple, a ``NamedTuple``, and
-``frame_fields`` gives the same tuple unbuilt, with a nested object left
-a proposition.  There is one serializer, one parser and one decoder:
-``body_bytes`` serializes a ``Frame`` or ``frame_fields(p)`` as a BODY,
-``parse_body`` parses a BODY to a ``Frame`` and ``decode_frame`` builds
-the proposition.  So ``encode`` builds no ``Frame``, and ``receive``
-builds one for each frame that reaches decode.  ``payload_bits``
+proposition).  A ``Frame`` is that field tuple, a ``NamedTuple``.  There
+are two BODY writers, one parser and one decoder.  ``proposition_body``
+writes a valid proposition's BODY in one pass, with no size check, since
+the model bounds every field (see its docstring); ``encode`` and the
+``<hex>`` of ``render_proposition`` use it and build no ``Frame``.
+``body_bytes`` serializes a ``Frame``, which may be built by hand, so it
+checks the nesting depth, the predicate length and the BODY size; the
+tests pin the two writers together.  ``parse_body`` parses a BODY to a
+``Frame`` and ``decode_frame`` builds the proposition, so ``receive``
+builds one ``Frame`` for each frame that reaches decode.  ``payload_bits``
 renders the display bits Polarity || predicate || object, which are not
 self-delimiting.
 
@@ -115,20 +118,16 @@ class Frame(NamedTuple):
         return (pol, self.predicate_bytes.hex().upper(), obj)
 
 
-def frame_fields(p: Proposition) -> tuple:
-    """encode_frame's fields, in Frame's order, nesting a Proposition."""
+def encode_frame(p: Proposition) -> Frame:
+    """Encode a proposition as a frame; total on valid propositions."""
     pred, obj = p.predicate.value, p.object
     if isinstance(pred, str):
         ptag, pbytes = "name", pred.encode("ascii")
     else:
         ptag, pbytes = "index", _min_be_bytes(pred)
-    return p.polarity, ptag, pbytes, obj.kind, obj.number, obj.inner
-
-
-def encode_frame(p: Proposition) -> Frame:
-    """Encode a proposition as a frame; total on valid propositions."""
-    *fields, inner = frame_fields(p)
-    return Frame(*fields, None if inner is None else encode_frame(inner))
+    inner = obj.inner
+    return Frame(p.polarity, ptag, pbytes, obj.kind, obj.number,
+                 None if inner is None else encode_frame(inner))
 
 
 def decode_frame(f: Frame) -> Proposition:
@@ -190,21 +189,18 @@ def crc16(data: bytes) -> int:
     return binascii.crc_hqx(data, 0xFFFF)
 
 
-def body_bytes(f, depth: int = 0) -> bytes:
-    """Serialize a frame's BODY per the grammar; deterministic.  f is a
-    Frame or frame_fields(p), whose nested object is a Proposition."""
+def body_bytes(f: Frame, depth: int = 0) -> bytes:
+    """Serialize a frame's BODY per the grammar; deterministic.  The frame
+    may be built by hand, so its depth and sizes are checked."""
     pol, ptag, pbytes, kind, number, nested = f
     if depth > MAX_NESTING_DEPTH:
         raise WireSizeError("nesting depth exceeded")
     if len(pbytes) > MAX_PREDICATE_BYTES:
         raise WireSizeError("predicate field too long")
-    if kind == "number":  # _min_be_bytes(number), inlined on the send path
-        otag = OTAG_NUMBER
-        obytes = number.to_bytes(max(1, (number.bit_length() + 7) // 8), "big")
+    if kind == "number":
+        otag, obytes = OTAG_NUMBER, _min_be_bytes(number)
     elif kind == "all":
         otag, obytes = OTAG_ALL, b""
-    elif isinstance(nested, Proposition):
-        otag, obytes = OTAG_NESTED, body_bytes(frame_fields(nested), depth + 1)
     else:
         otag, obytes = OTAG_NESTED, body_bytes(nested, depth + 1)
     head = bytes((1 if pol else 0, PTAG_NAME if ptag == "name" else PTAG_INDEX,
@@ -214,6 +210,32 @@ def body_bytes(f, depth: int = 0) -> bytes:
     if len(out) > MAX_BODY_LEN:
         raise WireSizeError("BODY exceeds 65535 bytes")
     return out
+
+
+def proposition_body(p: Proposition) -> bytes:
+    """body_bytes(encode_frame(p)), written from p's fields in one pass.
+
+    It runs no size check: a name is at most 64 ASCII characters, an index
+    is below 2^2040 (at most 255 bytes), a number takes at most 8 bytes and
+    nesting is at most 8 deep, so a valid proposition's BODY is at most
+    2,357 bytes and each OLEN fits its two bytes.
+    """
+    value, obj = p.predicate.value, p.object
+    if type(value) is str:
+        ptag, pbytes = PTAG_NAME, value.encode("ascii")
+    else:
+        ptag, pbytes = PTAG_INDEX, value.to_bytes((value.bit_length() + 7) // 8, "big")
+    kind = obj.kind
+    if kind == "number":
+        number = obj.number
+        otag, obytes = OTAG_NUMBER, number.to_bytes((number.bit_length() + 7) // 8, "big")
+    elif kind == "all":
+        otag, obytes = OTAG_ALL, b""
+    else:
+        otag, obytes = OTAG_NESTED, proposition_body(obj.inner)
+    # OTAG || OLEN as one 3-byte big-endian int
+    return b"".join((bytes((p.polarity, ptag, len(pbytes))), pbytes,
+                     (otag << 16 | len(obytes)).to_bytes(3, "big"), obytes))
 
 
 def parse_body(data: bytes, depth: int = 0):
@@ -280,7 +302,7 @@ def frame_to_wire(f: Frame) -> bytes:
 def encode(p: Proposition) -> bytes:
     """frame_to_wire(encode_frame(p)), without building the Frame; total on
     valid propositions, whose limits the model shares with the wire."""
-    return _framed(body_bytes(frame_fields(p)))
+    return _framed(proposition_body(p))
 
 
 @dataclass(slots=True)

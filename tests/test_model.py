@@ -169,10 +169,15 @@ def test_object_validation():
     (lambda: World.build({1.5}, {(PredicateCode("P"), 1.5, True)}), "<class 'float'>"),
     (lambda: World.build({True}, set()), "<class 'bool'>"),
     (lambda: World.build({0, 2.0}, set()), "<class 'float'>"),  # before range
+    (lambda: Proposition(2, PredicateCode("P"), ObjectRef.num(1)),
+     "polarity must be a bool, got <class 'int'>"),
+    (lambda: Proposition(1, PredicateCode("P"), ObjectRef.num(1)),
+     "polarity must be a bool, got <class 'int'>"),
 ], ids=["index-bool", "number-bool", "number-float", "domain-float", "domain-bool",
-        "domain-float-and-zero"])
+        "domain-float-and-zero", "polarity-two", "polarity-one"])
 def test_model_takes_exact_ints(build, got):
-    # True == 1, but #True(True) would render and not parse back
+    # True == 1, but #True(True) would render and not parse back; a polarity
+    # of 2 renders and encodes as True, yet is != it
     with pytest.raises(TypeError, match=re.escape(got)):
         build()
 

@@ -619,6 +619,24 @@ def test_shared_world_matches_reference_on_fresh_worlds(order):
         assert bool(w._evaluated) is bool(w.literals)
 
 
+def test_a_polarity_that_is_not_a_bool_never_reaches_the_world_memo():
+    # Proposition(2, P, 1) would render and encode as P(1) while != P(1) and
+    # failing holds, so a bridge over it would seed the memo with P(1)'s
+    # code -> False, and a later bridge over [P(1)] would read T = False
+    w = World.build({1}, {(P, 1, True)})
+    c = make_channel({})
+    p = Proposition(True, P, ObjectRef.num(1))
+    first = verify_bridge(c, w, [p])
+    with pytest.raises(TypeError, match="polarity must be a bool"):
+        verify_bridge(c, w, [Proposition(2, P, ObjectRef.num(1))])
+    third = verify_bridge(c, w, [p])
+    for report in (first, third):
+        row = report.rows[0]
+        assert (row.truth, row.world_holds, row.agree, report.agree) == (
+            True, True, True, True)
+    assert truth_from_channel(c, w)(encode(p)) is True
+
+
 def test_world_memo_spares_the_second_decode(monkeypatch):
     w = bridge_world()
     codes = [encode(p) for p in ground_corpus(w)]

@@ -35,6 +35,7 @@ from semchan.wire import (
     body_bytes,
     encode,
     parse_body,
+    proposition_body,
     receive_one,
 )
 
@@ -930,6 +931,25 @@ def test_encode_matches_frame_to_wire_of_encode_frame(p):
     assert isinstance(e, bytes)
     assert receive(e) == ([p], [])
     assert receive_one(e) == p
+
+
+# proposition_body writes a valid proposition's BODY with no size check, and
+# body_bytes a hand-built Frame's with every check; both match the reference
+@settings(max_examples=300)
+@example(Proposition(True, PredicateCode(2**2040 - 1), ObjectRef.num(1)))  # 255 bytes
+@example(DEEPEST)  # every field at its limit, at the deepest nesting
+@given(PROPOSITIONS)
+def test_proposition_body_matches_reference_body(p):
+    assert proposition_body(p) == reference_body_bytes(reference_encode_frame(p))
+
+
+@settings(max_examples=300)
+@example(False, PredicateCode(2**2040 - 1), DEEPEST.object.inner)
+@given(st.booleans(), PREDICATES, PROPOSITIONS.filter(lambda p: p.object.depth < 8))
+def test_rendered_hex_is_the_reference_body_of_the_inner_proposition(pol, pred, inner):
+    text = render_proposition(Proposition(pol, pred, ObjectRef("nested", 0, inner)))
+    assert text[text.index("("):] == "(<" + reference_body_bytes(
+        reference_encode_frame(inner)).hex() + ">)"
 
 
 def test_predicate_index_over_255_bytes_is_refused_when_built():
