@@ -3,16 +3,17 @@
 A proposition's fields are a polarity bit, a predicate (name bytes or a
 numeric index) and an object (number, all-objects marker, or a nested
 proposition).  A ``Frame`` is that field tuple, a ``NamedTuple``.  There
-are two BODY writers, one parser and one decoder.  ``proposition_body``
+is one BODY writer, one parser and one decoder.  ``proposition_body``
 writes a valid proposition's BODY in one pass, with no size check, since
 the model bounds every field (see its docstring); ``encode`` and the
 ``<hex>`` of ``render_proposition`` use it and build no ``Frame``.
-``body_bytes`` serializes a ``Frame``, which may be built by hand, so it
-checks the nesting depth, the predicate length and the BODY size; the
-tests pin the two writers together.  ``parse_body`` parses a BODY to a
-``Frame`` and ``decode_frame`` builds the proposition, so ``receive``
-builds one ``Frame`` for each frame that reaches decode.  ``payload_bits``
-renders the display bits Polarity || predicate || object, which are not
+``decode_frame`` is the exact inverse of ``encode_frame``: it refuses every
+frame that ``encode_frame`` never writes.  So ``body_bytes`` serializes a
+``Frame`` through the proposition it names, and refuses the rest with
+``FrameDecodeError``.  ``parse_body`` parses a BODY to a ``Frame`` and
+``decode_frame`` builds the proposition, so ``receive`` builds one
+``Frame`` for each frame that reaches decode.  ``payload_bits`` renders
+the display bits Polarity || predicate || object, which are not
 self-delimiting.
 
 Wire frame layout:
@@ -55,12 +56,11 @@ import binascii
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import (MAX_NESTING_DEPTH, MAX_OBJECT_NUMBER, MAX_PREDICATE_BYTES,
-                    ObjectRef, PredicateCode, Proposition)
+from .model import (MAX_NESTING_DEPTH, MAX_OBJECT_NUMBER, ObjectRef, PredicateCode,
+                    Proposition)
 
 SYNC = b"\xa5\x5a"
 VERSION = 0x01
-MAX_BODY_LEN = 65535
 
 PTAG_NAME = 0x00
 PTAG_INDEX = 0x01
@@ -75,14 +75,6 @@ class FrameDecodeError(ValueError):
 
 class BodyError(ValueError):
     """Raised when BODY bytes violate the grammar."""
-
-
-class WireSizeError(ValueError):
-    """Raised when a frame exceeds wire size limits."""
-
-
-def _min_be_bytes(n: int) -> bytes:
-    return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
 
 
 class Frame(NamedTuple):
@@ -124,15 +116,15 @@ def encode_frame(p: Proposition) -> Frame:
     if isinstance(pred, str):
         ptag, pbytes = "name", pred.encode("ascii")
     else:
-        ptag, pbytes = "index", _min_be_bytes(pred)
+        ptag, pbytes = "index", pred.to_bytes((pred.bit_length() + 7) // 8, "big")
     inner = obj.inner
     return Frame(p.polarity, ptag, pbytes, obj.kind, obj.number,
                  None if inner is None else encode_frame(inner))
 
 
 def decode_frame(f: Frame) -> Proposition:
-    """Exact inverse of encode_frame on the valid domain; raises
-    FrameDecodeError for every well-typed frame outside it."""
+    """Exact inverse of encode_frame: p when f == encode_frame(p) for a valid
+    p; raises FrameDecodeError for every other well-typed frame."""
     pol, ptag, pbytes, kind, number, nested = f
     if ptag == "name":
         try:
@@ -151,15 +143,30 @@ def decode_frame(f: Frame) -> Proposition:
         raise FrameDecodeError(f"bad predicate tag: {ptag!r}")
     if kind == "number":
         if not 1 <= number <= MAX_OBJECT_NUMBER:
-            raise FrameDecodeError(f"number object out of range 1..2^64-1: {number}")
+            # str() refuses an int of more than 4,300 digits, and a 1,787-byte
+            # number has more, so a number past the range is named by its size
+            shown = (f"{(number.bit_length() + 7) // 8} bytes"
+                     if number > MAX_OBJECT_NUMBER else number)
+            raise FrameDecodeError(f"number object out of range 1..2^64-1: {shown}")
         obj = ObjectRef("number", number)
     elif kind == "all":
         obj = ObjectRef("all")
     elif kind == "nested":
+        if nested is None:
+            raise FrameDecodeError("nested object tag with no frame")
         obj = ObjectRef.nested(nested)
     else:
         raise FrameDecodeError(f"bad object tag: {kind!r}")
-    return Proposition(pol, pred, obj)
+    p = Proposition(pol, pred, obj)
+    # fields encode_frame never writes, checked after every check above, so
+    # a frame refused there keeps its refusal
+    if ptag == "index" and not pbytes[0]:
+        raise FrameDecodeError("zero-padded predicate index")
+    if number and kind != "number":
+        raise FrameDecodeError(f"{kind} object with a nonzero number")
+    if nested is not None and kind != "nested":
+        raise FrameDecodeError(f"{kind} object with a nested frame")
+    return p
 
 
 def payload_bits(f: Frame) -> str:
@@ -189,31 +196,8 @@ def crc16(data: bytes) -> int:
     return binascii.crc_hqx(data, 0xFFFF)
 
 
-def body_bytes(f: Frame, depth: int = 0) -> bytes:
-    """Serialize a frame's BODY per the grammar; deterministic.  The frame
-    may be built by hand, so its depth and sizes are checked."""
-    pol, ptag, pbytes, kind, number, nested = f
-    if depth > MAX_NESTING_DEPTH:
-        raise WireSizeError("nesting depth exceeded")
-    if len(pbytes) > MAX_PREDICATE_BYTES:
-        raise WireSizeError("predicate field too long")
-    if kind == "number":
-        otag, obytes = OTAG_NUMBER, _min_be_bytes(number)
-    elif kind == "all":
-        otag, obytes = OTAG_ALL, b""
-    else:
-        otag, obytes = OTAG_NESTED, body_bytes(nested, depth + 1)
-    head = bytes((1 if pol else 0, PTAG_NAME if ptag == "name" else PTAG_INDEX,
-                  len(pbytes)))
-    out = b"".join((head, pbytes, bytes((otag,)), len(obytes).to_bytes(2, "big"),
-                    obytes))
-    if len(out) > MAX_BODY_LEN:
-        raise WireSizeError("BODY exceeds 65535 bytes")
-    return out
-
-
 def proposition_body(p: Proposition) -> bytes:
-    """body_bytes(encode_frame(p)), written from p's fields in one pass.
+    """A valid proposition's BODY, written from p's fields in one pass.
 
     It runs no size check: a name is at most 64 ASCII characters, an index
     is below 2^2040 (at most 255 bytes), a number takes at most 8 bytes and
@@ -236,6 +220,12 @@ def proposition_body(p: Proposition) -> bytes:
     # OTAG || OLEN as one 3-byte big-endian int
     return b"".join((bytes((p.polarity, ptag, len(pbytes))), pbytes,
                      (otag << 16 | len(obytes)).to_bytes(3, "big"), obytes))
+
+
+def body_bytes(f: Frame) -> bytes:
+    """The BODY of the proposition f names; raises FrameDecodeError, as
+    decode_frame does, for a frame that encode_frame never writes."""
+    return proposition_body(decode_frame(f))
 
 
 def parse_body(data: bytes, depth: int = 0):
@@ -295,7 +285,8 @@ def _framed(body: bytes) -> bytes:
 
 
 def frame_to_wire(f: Frame) -> bytes:
-    """Full wire frame: SYNC + VER + LEN + BODY + CRC."""
+    """Full wire frame, SYNC + VER + LEN + BODY + CRC: encode(decode_frame(f)).
+    Raises FrameDecodeError for a frame that encode_frame never writes."""
     return _framed(body_bytes(f))
 
 

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from genprops import gen_proposition
-from semchan import (ground_corpus, load_world, make_channel, parse_proposition, receive,
-                     render_proposition, verify_bridge)
+from semchan import (crc16, ground_corpus, load_world, make_channel, parse_proposition,
+                     receive, render_proposition, verify_bridge)
 from semchan.channel import load_channel
 from semchan.cli import EXIT_IO, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from semchan.transfer import NON_TRANSFERABLE, PARADOXICAL, TRANSFERABLE
@@ -140,6 +140,25 @@ def test_receiver_reports_undecodable_frame_by_offset(stream, offset):
     assert code == 1
     assert lines[0] == "ON(112)"
     assert lines[1].startswith(f"frame {offset}: undecodable (bad predicate name")
+
+
+def long_number_wire(size: int) -> bytes:
+    """A CRC-valid frame of P(n) for an n of size bytes, out of range."""
+    body = b"\x01\x00\x01P\x00" + size.to_bytes(2, "big") + b"\xff" * size
+    head = b"\x01" + len(body).to_bytes(2, "big")
+    return b"\xa5\x5a" + head + body + crc16(head + body).to_bytes(2, "big")
+
+
+# from 1,787 bytes a number has more decimal digits than str() converts
+@pytest.mark.parametrize("size", [1787, 65_000])
+def test_long_number_is_an_undecodable_frame(capsys, size):
+    from semchan.cli import handle_stream
+
+    detail = f"number object out of range 1..2^64-1: {size} bytes"
+    assert handle_stream(long_number_wire(size)) == (
+        [f"frame 0: undecodable ({detail})"], 1)
+    assert run_cli(capsys, "decode", long_number_wire(size).hex()) == (
+        2, f"undecodable@0: {detail}\n", "")
 
 
 @pytest.mark.parametrize("stream, expected, lines", [

@@ -19,7 +19,6 @@ from semchan import (
     wire_to_frames,
 )
 from semchan.wire import (
-    MAX_BODY_LEN,
     OTAG_ALL,
     OTAG_NESTED,
     OTAG_NUMBER,
@@ -31,7 +30,6 @@ from semchan.wire import (
     Diagnostic,
     Frame,
     FrameDecodeError,
-    WireSizeError,
     body_bytes,
     encode,
     parse_body,
@@ -309,6 +307,12 @@ LEN_SHORT_WIRE = SYNC + _LEN_SHORT + crc16(_LEN_SHORT).to_bytes(2, "big")
 BAD_NAME_WIRE = wrap(b"\x01\x00\x02\xff\xfe\x00\x00\x01\x70")
 
 
+def long_number_body(size: int) -> bytes:
+    """P(n) for an n of size bytes: the grammar holds; past 8 bytes the
+    range does not, and from 1,787 bytes n has over 4,300 decimal digits."""
+    return b"\x01\x00\x01P\x00" + size.to_bytes(2, "big") + b"\xff" * size
+
+
 def padded_number(max_bits):
     """Big-endian bytes of a number in 0..2**max_bits, after 0-2 zero bytes."""
     return st.builds(
@@ -345,6 +349,7 @@ STREAMS = st.lists(st.one_of(st.binary(max_size=24), st.just(SYNC),
                   max_size=6).map(b"".join)
 
 
+@example(wrap(long_number_body(1787)))
 @given(STREAMS)
 def test_receive_never_raises(stream):
     props, diags = receive(stream)
@@ -376,6 +381,7 @@ def test_received_propositions_parse_back_from_their_text(stream):
 
 
 @settings(max_examples=300)
+@example(long_number_body(1787))
 @given(st.one_of(st.binary(max_size=40), TLV_BODIES))
 def test_received_propositions_reencode_to_scanned_bytes(body):
     wire = wrap(body)
@@ -393,6 +399,20 @@ def test_undecodable_frame_resumes_at_frame_end():
     assert [(d.kind, d.offset) for d in diags] == [("undecodable", 0)]
 
 
+@pytest.mark.parametrize("size", [1787, 65_000])
+def test_long_number_is_undecodable_and_named_by_its_size(size):
+    wire = wrap(long_number_body(size))
+    assert receive(wire) == ([], [Diagnostic(
+        "undecodable", 0, f"number object out of range 1..2^64-1: {size} bytes")])
+    assert receive_one(wire) is None
+
+
+def test_nested_tag_with_no_frame_is_refused():
+    f = Frame(True, "name", b"P", "nested")
+    for fn in (decode_frame, body_bytes, frame_to_wire):
+        assert outcome(fn, f) == (FrameDecodeError, "nested object tag with no frame")
+
+
 def test_non_minimal_predicate_index_is_body_diagnostic():
     minimal = wrap(b"\x01\x01\x01\x05\x00\x00\x01\x03")
     assert receive(minimal)[0] == [parse_proposition("#5(3)")]
@@ -404,7 +424,15 @@ def test_non_minimal_predicate_index_is_body_diagnostic():
 # Reference codec: body_bytes, frame_to_wire, parse_body and receive as
 # they were before their inner loops were tightened.  The properties below
 # require the codec to match them byte for byte, diagnostic for diagnostic
-# and message for message.
+# and message for message.  The two writers match it on every frame that
+# encode_frame writes, and refuse the rest as decode_frame does.
+
+class WireSizeError(ValueError):
+    """The reference writer's refusal of a frame past a wire size limit."""
+
+
+MAX_BODY_LEN = 65535
+
 
 def reference_min_be_bytes(n: int) -> bytes:
     return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
@@ -603,10 +631,16 @@ FRAMES = st.builds(
 # caches it yet; that cost is not slow input generation, so only too_slow is
 # suppressed
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@example(Frame(True, "index", b"\x00\x05", "number", 3))  # zero-padded index
 @given(FRAMES)
 def test_body_bytes_and_frame_to_wire_match_reference(f):
-    assert outcome(body_bytes, f) == outcome(reference_body_bytes, f)
-    assert outcome(frame_to_wire, f) == outcome(reference_frame_to_wire, f)
+    decoded = outcome(decode_frame, f)
+    if isinstance(decoded, Proposition):
+        assert body_bytes(f) == reference_body_bytes(f)
+        assert frame_to_wire(f) == reference_frame_to_wire(f)
+        assert wire_to_frames(frame_to_wire(f)) == ([f], [])
+    else:
+        assert outcome(body_bytes, f) == outcome(frame_to_wire, f) == decoded
 
 
 @pytest.mark.parametrize("f", [
@@ -616,8 +650,11 @@ def test_body_bytes_and_frame_to_wire_match_reference(f):
           object_frame=Frame(True, "name", b"Q", "number", 2**(8 * 65520) - 1)),
 ], ids=["body-too-long", "olen-overflow", "nested-body-too-long"])
 def test_body_bytes_size_limits_match_reference(f):
-    assert outcome(body_bytes, f) == outcome(reference_body_bytes, f)
-    assert outcome(frame_to_wire, f) == outcome(reference_frame_to_wire, f)
+    # the reference writes or refuses each by its sizes; both writers refuse
+    # it as decode_frame does, since its number is out of range
+    refusal = outcome(decode_frame, f)
+    assert refusal[0] is FrameDecodeError
+    assert outcome(body_bytes, f) == outcome(frame_to_wire, f) == refusal
 
 
 # Reference codec: encode_frame and decode_frame as they were before the
@@ -640,6 +677,12 @@ def reference_encode_frame(p: Proposition) -> Frame:
                  object_frame=reference_encode_frame(p.object.inner))
 
 
+def shown_number(n: int):
+    """An out-of-range number as a refusal names it: past 2^64-1, by its
+    byte count, since str() refuses an int of more than 4,300 digits."""
+    return f"{len(minimal_bytes(n))} bytes" if n > 2**64 - 1 else n
+
+
 def reference_decode_frame(f: Frame) -> Proposition:
     if f.predicate_tag == "name":
         try:
@@ -659,7 +702,7 @@ def reference_decode_frame(f: Frame) -> Proposition:
     if f.object_tag == "number":
         if not 1 <= f.object_number <= 2**64 - 1:
             raise FrameDecodeError(
-                f"number object out of range 1..2^64-1: {f.object_number}")
+                f"number object out of range 1..2^64-1: {shown_number(f.object_number)}")
         obj = ObjectRef.num(f.object_number)
     elif f.object_tag == "all":
         obj = ObjectRef.all_objects()
@@ -728,13 +771,30 @@ def test_encode_frame_matches_reference(p):
     assert outcome(encode_frame, p) == outcome(reference_encode_frame, p)
 
 
+def assert_decodes_as_reference(f, want):
+    """decode_frame(f) against the reference's outcome want: the same
+    refusal, p where f is the reference encoding of p, and FrameDecodeError
+    where the reference decodes a frame it would not encode."""
+    got = outcome(decode_frame, f)
+    if isinstance(want, Proposition) and reference_encode_frame(want) != f:
+        assert got[0] is FrameDecodeError
+    else:
+        assert got == want
+
+
 @settings(max_examples=400)
 @example(Frame(True, "name", b"P", "bad"))
 @example(Frame(True, "index", b"\x05", "number", 2**64))
 @example(Frame(False, "name", b"P", "number", 0))
+# fields encode_frame never writes, which the reference decodes
+@example(Frame(True, "index", b"\x00\x05", "number", 3))
+@example(Frame(True, "name", b"P", "all", 3))
+@example(Frame(True, "name", b"P", "number", 3, Frame(True, "name", b"Q", "all")))
+@example(Frame(True, "name", b"P", "all", 0, Frame(True, "name", b"Q", "all")))
+@example(Frame(True, "name", b"P", "nested", 3, Frame(True, "name", b"Q", "all")))
 @given(st.one_of(DECODE_FRAMES, PROPOSITIONS.map(reference_encode_frame)))
 def test_decode_frame_matches_reference(f):
-    assert outcome(decode_frame, f) == outcome(reference_decode_frame, f)
+    assert_decodes_as_reference(f, outcome(reference_decode_frame, f))
 
 
 def test_codec_matches_reference_on_corpus():
@@ -778,7 +838,8 @@ def reference_decode_field_tuple(pol, ptag, pbytes, kind, number, nested) -> Pro
         raise FrameDecodeError(f"bad predicate tag: {ptag!r}")
     if kind == "number":
         if not 1 <= number <= 2**64 - 1:
-            raise FrameDecodeError(f"number object out of range 1..2^64-1: {number}")
+            raise FrameDecodeError(
+                f"number object out of range 1..2^64-1: {shown_number(number)}")
         obj = ObjectRef.num(number)
     elif kind == "all":
         obj = ObjectRef.all_objects()
@@ -829,8 +890,8 @@ FIELDS = st.one_of(
 def test_decode_frame_of_fields_matches_reference(field_tuples):
     for _ in range(2):
         for fields in field_tuples:
-            assert (outcome(decode_frame, Frame(*fields))
-                    == outcome(reference_decode_field_tuple, *fields))
+            assert_decodes_as_reference(
+                Frame(*fields), outcome(reference_decode_field_tuple, *fields))
 
 
 def chain_body(layers, leaf):
@@ -933,8 +994,8 @@ def test_encode_matches_frame_to_wire_of_encode_frame(p):
     assert receive_one(e) == p
 
 
-# proposition_body writes a valid proposition's BODY with no size check, and
-# body_bytes a hand-built Frame's with every check; both match the reference
+# proposition_body writes a valid proposition's BODY with no size check; it
+# matches the reference writer byte for byte
 @settings(max_examples=300)
 @example(Proposition(True, PredicateCode(2**2040 - 1), ObjectRef.num(1)))  # 255 bytes
 @example(DEEPEST)  # every field at its limit, at the deepest nesting
@@ -966,8 +1027,9 @@ def test_body_bytes_checks_depth_before_predicate_length():
     # the innermost of ten layers sits at depth 9 with a 300-byte predicate
     f = frame_chain([(True, "name", b"P" * 300)] + [(True, "name", b"P")] * 9,
                     ("number", 1))
-    assert (outcome(body_bytes, f) == outcome(reference_body_bytes, f)
-            == (WireSizeError, "nesting depth exceeded"))
+    assert outcome(reference_body_bytes, f) == (WireSizeError, "nesting depth exceeded")
+    assert (outcome(body_bytes, f) == outcome(frame_to_wire, f)
+            == (FrameDecodeError, "nesting depth exceeded"))
 
 
 def test_diagnostic_str_is_kind_at_offset_detail():
