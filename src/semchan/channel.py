@@ -7,10 +7,20 @@ every transcript is replayable.  ``transmit`` returns the ``Transcript``
 of the use: decode failures are values in it, never exceptions, because
 the receiver must be able to observe "did not arrive" as an outcome.
 
-When the system returns exactly the bytes that were sent, ``transmit``
-skips the scan: ``receive(encode(p)) == ([p], [])``, so the received
-proposition is the sent object itself, equal to the one ``receive``
-would build.
+A transcript stores facts: what was sent, the sent and received bytes,
+the system's kind and seed, and the use.  What arrived
+(``recv_proposition``, ``diagnostics``, ``error``) is decoded when first
+read, by one ``receive`` of the received bytes that the transcript then
+keeps.  An untouched stream is never scanned: ``receive(encode(p)) ==
+([p], [])``, so it hands back the sent object itself, equal to the one
+``receive`` would build.
+
+``transferred`` is the byte comparison ``recv_bytes == sent_bytes``, and
+that is exact.  A transfer needs a single clean frame and no diagnostic,
+so the frame fills the stream; every proposition ``receive`` returns
+re-encodes to exactly the bytes it was scanned from; and the encoding is
+canonical, with ``equivalent`` being ``==``.  So the received proposition
+is equivalent to the sent one exactly when the bytes are the sent bytes.
 """
 
 from __future__ import annotations
@@ -20,11 +30,11 @@ import math
 import os
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .model import Proposition, equivalent, render_proposition
-from .wire import encode, receive
+from .model import Proposition, render_proposition
+from .wire import Diagnostic, encode, receive
 
 
 class ChannelConfigError(ValueError):
@@ -212,21 +222,48 @@ class Channel:
 class Transcript:
     """Replayable record of one transmit.
 
-    Stores what was sent and received; the text and bit-string forms are
-    rendered from those facts when read.  A report, not a value: a plain
+    Stores the facts of the use; what arrived and the text and bit-string
+    forms are computed from them when read.  A report, not a value: a plain
     slotted record, mutable and not hashable, because each transmit builds
     one and the library never keeps it, so it skips a frozen record's
-    per-field cost.  The propositions it holds are frozen values.
+    per-field cost.  The propositions it holds are frozen values.  The
+    one ``receive`` of ``recv_bytes`` is kept in ``_scan``, which ``==``
+    ignores, so it assumes the facts are not reassigned once read.
     """
 
     sent_proposition: Proposition
-    recv_proposition: Optional[Proposition]
     sent_bytes: bytes
     recv_bytes: bytes
-    error: Optional[str]
     ts_kind: str
     seed: int
     n: int
+    _scan: Optional[tuple[list[Proposition], tuple[Diagnostic, ...]]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def _received(self) -> tuple[list[Proposition], tuple[Diagnostic, ...]]:
+        """``receive(recv_bytes)``, run once; an untouched stream is not
+        scanned and hands back the sent proposition itself."""
+        scan = self._scan
+        if scan is None:
+            if self.transferred:
+                scan = [self.sent_proposition], ()
+            else:
+                props, diags = receive(self.recv_bytes)
+                scan = props, tuple(diags)
+            self._scan = scan
+        return scan
+
+    @property
+    def transferred(self) -> bool:
+        """What arrived is equivalent to what was sent: the received bytes
+        are the sent bytes (the module docstring says why that is exact)."""
+        return self.recv_bytes == self.sent_bytes
+
+    @property
+    def recv_proposition(self) -> Optional[Proposition]:
+        """The proposition of the single clean frame that arrived, if any."""
+        props, diags = self._received()
+        return props[0] if len(props) == 1 and not diags else None
 
     @property
     def ok(self) -> bool:
@@ -234,10 +271,20 @@ class Transcript:
         return self.recv_proposition is not None
 
     @property
-    def transferred(self) -> bool:
-        """What arrived is equivalent to what was sent."""
-        recv = self.recv_proposition
-        return recv is not None and equivalent(recv, self.sent_proposition)
+    def diagnostics(self) -> tuple[Diagnostic, ...]:
+        """Every receive event of the received stream; () when untouched."""
+        return self._received()[1]
+
+    @property
+    def error(self) -> Optional[str]:
+        """Why no single clean frame arrived; None when one did."""
+        props, diags = self._received()
+        if len(props) == 1 and not diags:
+            return None
+        if props:
+            return f"expected one clean frame, got {len(props)} with {len(diags)} diagnostics"
+        detail = "; ".join(map(str, diags))
+        return f"no frame recovered ({detail or 'empty stream'})"
 
     @property
     def sent(self) -> str:
@@ -245,9 +292,8 @@ class Transcript:
 
     @property
     def recv(self) -> Optional[str]:
-        if self.recv_proposition is None:
-            return None
-        return render_proposition(self.recv_proposition)
+        recv = self.recv_proposition
+        return None if recv is None else render_proposition(recv)
 
     @property
     def sent_bits(self) -> str:
@@ -308,32 +354,17 @@ def load_channel(path: str) -> Channel:
 
 
 def transmit(c: Channel, p: Proposition) -> Transcript:
-    """Send one proposition: encode, serialize, TS, receive.
+    """Send one proposition: encode, apply the TS, record the use.
 
-    Decode failure is a first-class outcome: the transcript's error says
-    why nothing arrived.  Each call advances the channel's use counter.
-    A stream that arrives untouched returns at once, unscanned, because
-    ``receive(encode(p)) == ([p], [])``: its ``recv_proposition`` is then
-    ``p`` itself, a frozen value equal to what ``receive`` would build.
+    Nothing is decoded here: the transcript decodes what arrived when it is
+    first read, and a decode failure is a value in it, never an exception.
+    Each call advances the channel's use counter.
     """
     n = c.uses
     c.uses += 1
     ts = c.ts
     sent_bytes = encode(p)
-    recv_bytes = ts.apply(sent_bytes, n)
-    if recv_bytes == sent_bytes:
-        return Transcript(p, p, sent_bytes, recv_bytes, None, ts.kind, ts.seed, n)
-    props, diags = receive(recv_bytes)
-    recv_prop: Optional[Proposition] = None
-    error: Optional[str] = None
-    if len(props) == 1 and not diags:
-        recv_prop = props[0]
-    elif props:
-        error = f"expected one clean frame, got {len(props)} with {len(diags)} diagnostics"
-    else:
-        detail = "; ".join(map(str, diags))
-        error = f"no frame recovered ({detail or 'empty stream'})"
-    return Transcript(p, recv_prop, sent_bytes, recv_bytes, error, ts.kind, ts.seed, n)
+    return Transcript(p, sent_bytes, ts.apply(sent_bytes, n), ts.kind, ts.seed, n)
 
 
 @dataclass(slots=True)

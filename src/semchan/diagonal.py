@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .channel import Channel, transmit
@@ -27,6 +28,7 @@ from .wire import (Frame, body_bytes, decode_frame, encode, encode_frame,
 NT = PredicateCode("NT")
 TR = PredicateCode("Tr")
 ERR = PredicateCode("Err")
+_value = attrgetter("value")
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,11 +44,17 @@ class EnumerationTable:
     k_tr: int
 
     def rows(self) -> Iterator[Proposition]:
-        """Base cells: both polarities of every P_i(m)."""
-        for pred in self.predicates:
-            for pol in (True, False):
-                for m in range(1, self.max_n + 1):
-                    yield Proposition(pol, pred, ObjectRef.num(m))
+        """Base cells: both polarities of every P_i(m), predicate by
+        predicate, positive before negative, objects in order."""
+        return map(self.row_at, range(2 * len(self.predicates) * self.max_n))
+
+    def row_at(self, i: int) -> Proposition:
+        """The cell at 0-based position i of ``rows()``."""
+        if not 0 <= i < 2 * len(self.predicates) * self.max_n:
+            raise IndexError(f"row position out of range: {i}")
+        block, m = divmod(i, self.max_n)
+        slot, negative = divmod(block, 2)
+        return Proposition(not negative, self.predicates[slot], ObjectRef.num(m + 1))
 
 
 def build_enumeration(preds: list[PredicateCode], max_n: int) -> EnumerationTable:
@@ -115,16 +123,27 @@ class FixedPointReport:
         }
 
 
+def _diagonal_cell(t: EnumerationTable, k: int, polarity: bool) -> Proposition:
+    """The diagonal cell P_k(k) of one polarity, read by its position in
+    ``t.rows()``, not through ``_cell``; t has at least k objects."""
+    return t.row_at((2 * (k - 1) + (not polarity)) * t.max_n + k - 1)
+
+
 @lru_cache(typed=True)
-def _diagonal(pred: PredicateCode, k: int, pred_prime: PredicateCode,
+def _diagonal(values: tuple, max_n: int, k: int,
               k_prime: int) -> tuple[Frame, Frame, bool, bool]:
-    """Both diagonal rows and identities, from the two slots they read."""
-    left = encode_frame(_about(True, NT, Proposition(True, pred, ObjectRef.num(k))))
-    right = _about(True, NT, Proposition(True, pred, ObjectRef.num(k)))
-    left_p = encode_frame(_about(False, TR, Proposition(
-        False, pred_prime, ObjectRef.num(k_prime))))
-    right_p = _about(False, TR, Proposition(
-        False, pred_prime, ObjectRef.num(k_prime)))
+    """Both diagonal rows and identities of the table with these predicate
+    values and fields.  The values stand in for the codes, as in
+    ``build_enumeration``, so the key names one table and is cheap to hash;
+    the typed memo tells 1 from True, which compare and hash alike."""
+    # a diagonal cell P_k(k) lies past the objects when max_n < k, so the
+    # cells are read from the table widened to cover them, whose rows
+    # extend each predicate's in the same order; no B row reads max_n
+    t = EnumerationTable(tuple(map(PredicateCode, values)),
+                         max(max_n, k, k_prime), k, k_prime)
+    left, left_p = build_B(t, k), build_Bprime(t, k_prime)
+    right = _about(True, NT, _diagonal_cell(t, k, True))
+    right_p = _about(False, TR, _diagonal_cell(t, k_prime, False))
     return (left, left_p, frame_to_wire(left) == encode(right),
             frame_to_wire(left_p) == encode(right_p))
 
@@ -132,21 +151,23 @@ def _diagonal(pred: PredicateCode, k: int, pred_prime: PredicateCode,
 def find_fixed_point(t: EnumerationTable) -> FixedPointReport:
     """Self-apply the derived rows at their own indices.
 
-    Builds both sides of the diagonal identity independently -- the B
-    row evaluated at n = k, and NT applied to the frame of the k-th
-    predicate at object k -- and exhibits their bit-level equality.
-    The index checks run on every call.  The frames and identities are
-    built once per (slot predicate, index) pair of NT's and Tr's slots,
-    in a typed memo of at most 128 entries, so ``1`` and ``True`` stay
-    apart; each call returns a fresh report that shares the immutable
-    ``Frame``s.
+    Builds both sides of the diagonal identity independently -- the B row
+    evaluated at n = k (``build_B``, through ``_cell``), and NT applied to
+    the table's own diagonal cell, read by its position in the enumeration
+    -- and exhibits their bit-level equality; likewise B' and Tr at k'.  A
+    fault in either path makes the identity false.  The index checks run on
+    every call.  The frames and identities are built once per table, in a
+    typed memo of at most 128 entries keyed on the table's predicate values
+    and fields, so one table's result never answers for another and ``1``
+    and ``True`` stay apart; each call returns a fresh report that shares
+    the immutable ``Frame``s.
     """
     k, k_prime = t.k_nt, t.k_tr
     npred = len(t.predicates)
     if not (1 <= k <= npred and 1 <= k_prime <= npred):
         raise ValueError("NT/Tr missing from enumeration")
     return FixedPointReport(k, k_prime, *_diagonal(
-        t.predicates[k - 1], k, t.predicates[k_prime - 1], k_prime))
+        tuple(map(_value, t.predicates)), t.max_n, k, k_prime))
 
 
 def build_NT_all() -> Frame:

@@ -19,6 +19,10 @@ MAX_NAME_LEN = 64
 MAX_PREDICATE_BYTES = 255  # a wire predicate field's one-byte PLEN
 MAX_OBJECT_NUMBER = 2**64 - 1
 MAX_NESTING_DEPTH = 8
+# significant digits of the longest literal that can be valid: 2^64-1 has 20,
+# an index below 2^2040 at most 615
+MAX_NUMBER_DIGITS = len(str(MAX_OBJECT_NUMBER))
+MAX_INDEX_DIGITS = len(str(2 ** (8 * MAX_PREDICATE_BYTES) - 1))
 
 _NAME_RE = re.compile(r"[A-Za-z0-9-]+")
 _DIGITS_RE = re.compile(r"[0-9]+")  # ASCII only: \d takes any script's digits
@@ -197,13 +201,25 @@ def render_proposition(p: Proposition) -> str:
     return f"{sign}{name}({obj})"
 
 
+def _literal(digits: str, limit: int, what: str, offset: int) -> int:
+    """int(digits), with a run of more than limit significant digits refused
+    by its length first: str -> int refuses more than 4,300 digits, and no
+    such literal is valid anyway."""
+    size = len(digits.lstrip("0"))
+    if size > limit:
+        raise PropositionSyntaxError(f"{what}: {size} digits", offset)
+    return int(digits)
+
+
 def parse_proposition(text: str) -> Proposition:
     """Parse the text grammar back into a structured atom.
 
     ``~`` sets polarity false, ``*`` is the all-objects marker, and
     ``<hex>`` is a nested frame given as the hex of a wire body that decodes.
     A literal ``0`` object is rejected: all-objects must be written ``*``.
-    NUMBER and INDEX are ASCII digits; any other digit is a syntax error.
+    NUMBER and INDEX are ASCII digits; any other digit is a syntax error,
+    and so is a literal of more significant digits than any valid one has
+    (20 for a NUMBER, 615 for an INDEX).
     """
     s = text.strip()
     pos = 0
@@ -216,7 +232,9 @@ def parse_proposition(text: str) -> Proposition:
         m = _DIGITS_RE.match(s, pos + 1)
         if not m:
             raise PropositionSyntaxError("expected predicate index after '#'", pos)
-        pred = PredicateCode(int(m.group(0)))
+        pred = PredicateCode(_literal(
+            m.group(0), MAX_INDEX_DIGITS,
+            f"predicate index must be < 2^{8 * MAX_PREDICATE_BYTES}", m.start()))
         pos = m.end()
     else:
         m = _NAME_RE.match(s, pos)
@@ -246,7 +264,8 @@ def parse_proposition(text: str) -> Proposition:
         except (BodyError, FrameDecodeError) as e:
             raise PropositionSyntaxError(str(e), pos) from None
     elif _DIGITS_RE.fullmatch(inner):
-        n = int(inner)
+        n = _literal(inner, MAX_NUMBER_DIGITS,
+                     "object number out of range 1..2^64-1", pos)
         if n == 0:
             raise PropositionSyntaxError(
                 "object 0 must be written '*' (all objects)", pos

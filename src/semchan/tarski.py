@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 from .channel import Channel, TransmissionSystem, _sample_activeness
 from .diagonal import build_enumeration, find_fixed_point
 from .model import ObjectRef, Proposition, World, holds, render_proposition
-from .wire import decode_frame, encode, frame_to_wire, receive_one
+from .wire import decode_frame, encode, receive_one
 
 log = logging.getLogger(__name__)
 
@@ -246,10 +246,10 @@ def verify_bridge(c: Channel, w: World,
     preds = w.predicates() or sorted({p.predicate for p in corpus}, key=str)
     if preds:
         table = build_enumeration(preds, len(preds))
-        star = find_fixed_point(table).frame_star
-        star_code = frame_to_wire(star)
-        rows.append(BridgeRow(decode_frame(star), star_code, truth(star_code),
-                              None, None, diagonal=True))
+        star = decode_frame(find_fixed_point(table).frame_star)
+        star_code = encode(star)
+        rows.append(BridgeRow(star, star_code, truth(star_code), None, None,
+                              diagonal=True))
 
     return BridgeReport(
         corpus_size=len(corpus),

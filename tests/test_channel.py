@@ -16,16 +16,19 @@ from semchan import (
     Proposition,
     SubstituteTS,
     TruncateTS,
+    check_transferable,
     encode_frame,
     equivalent,
     frame_to_wire,
     make_channel,
     parse_proposition,
+    render_proposition,
     transmit,
     verify_activeness,
 )
-from semchan.channel import (ChannelConfigError, Transcript, TransmissionSystem,
-                             _bytes_to_bits, append_transcript)
+from semchan.channel import (ChannelConfigError, TransmissionSystem, _bytes_to_bits,
+                             append_transcript)
+from semchan.transfer import NON_TRANSFERABLE, TRANSFERABLE, eval_NT
 from semchan.wire import SYNC, crc16, encode, receive
 
 from genprops import corpus, gen_proposition
@@ -399,11 +402,13 @@ def test_bitflip_mask_does_not_depend_on_data(p, seed, n, data, draw):
 
 
 # Reference transmit: transmit as it was before the untouched-stream
-# shortcut, scanning every stream it receives.  The property below requires
-# transmit to match it transcript for transcript, so the shortcut changes
-# nothing a caller can see.
+# shortcut and before the transcript decoded lazily, scanning every stream it
+# receives and formatting its error at once.  It returns those eager values;
+# the property below requires every one of them to equal what the transcript
+# reads, so neither the shortcut nor the lazy decode changes anything a
+# caller can see.
 
-def reference_transmit(c: Channel, p: Proposition) -> Transcript:
+def reference_transmit(c: Channel, p: Proposition) -> dict:
     n = c.uses
     c.uses += 1
     sent_bytes = encode(p)
@@ -417,8 +422,37 @@ def reference_transmit(c: Channel, p: Proposition) -> Transcript:
     else:
         detail = "; ".join(map(str, diags))
         error = f"no frame recovered ({detail or 'empty stream'})"
-    return Transcript(p, recv_prop, sent_bytes, recv_bytes, error, c.ts.kind,
-                      c.ts.seed, n)
+    recv = None if recv_prop is None else render_proposition(recv_prop)
+    return {
+        "sent_proposition": p,
+        "recv_proposition": recv_prop,
+        "sent_bytes": sent_bytes,
+        "recv_bytes": recv_bytes,
+        "error": error,
+        "ts_kind": c.ts.kind,
+        "seed": c.ts.seed,
+        "n": n,
+        "ok": recv_prop is not None,
+        "recv": recv,
+        "transferred": recv_prop is not None and equivalent(recv_prop, p),
+        "to_json": {
+            "sent": render_proposition(p),
+            "sent_bits": _bytes_to_bits(sent_bytes),
+            "recv_bits": _bytes_to_bits(recv_bytes),
+            "recv": recv,
+            "ts": c.ts.kind,
+            "seed": c.ts.seed,
+            "n": n,
+        },
+    }
+
+
+def transcript_values(t) -> dict:
+    """What a transcript reads, under the reference's names."""
+    return {name: t.to_json() if name == "to_json" else getattr(t, name)
+            for name in ("sent_proposition", "recv_proposition", "sent_bytes",
+                         "recv_bytes", "error", "ts_kind", "seed", "n", "ok",
+                         "recv", "transferred", "to_json")}
 
 
 class NegatingTS(TransmissionSystem):
@@ -458,8 +492,8 @@ def test_transmit_matches_reference_that_always_scans(props):
         ref = Channel(c.ts)
         for p in props:
             got, want = transmit(c, p), reference_transmit(ref, p)
-            assert got == want
-            assert got.to_json() == want.to_json()
+            assert transcript_values(got) == want
+            assert got.to_json() == want["to_json"]
         assert c.uses == ref.uses == len(props)
 
 
@@ -474,3 +508,114 @@ def test_transmit_hands_back_the_sent_object_exactly_when_untouched(props):
         for p in props:
             t = transmit(c, p)
             assert (t.recv_proposition is p) == (t.recv_bytes == t.sent_bytes)
+
+
+# transferred is the byte comparison, and the received stream is decoded only
+# when something reads it; these pin both against the eager reference, over
+# the channels above and over random edits of the sent frame
+
+class EditingTS(TransmissionSystem):
+    """Applies the n-th drawn edit (cyclically) to the n-th use's bytes."""
+
+    kind = "editing"
+
+    def __init__(self, edits):
+        self.edits = edits
+
+    def apply(self, data, n):
+        return edit_bytes(data, self.edits[n % len(self.edits)])
+
+
+def edit_bytes(data: bytes, edit) -> bytes:
+    kind, *args = edit
+    if kind == "append":
+        return data + args[0]
+    if kind == "twice":
+        return data + data
+    i = args[0] % len(data)
+    if kind == "xor":
+        return data[:i] + bytes([data[i] ^ args[1]]) + data[i + 1:]
+    if kind == "insert":
+        return data[:i] + bytes([args[1]]) + data[i:]
+    if kind == "delete":
+        return data[:i] + data[i + 1:]
+    if kind == "cut":
+        return data[:i]
+    # "reframe": one BODY byte changed under a recomputed CRC, so the frame
+    # reaches the BODY parser and the decoder
+    body = bytearray(data[5:-2])
+    body[i % len(body)] ^= args[1]
+    framed = data[2:5] + bytes(body)
+    return SYNC + framed + crc16(framed).to_bytes(2, "big")
+
+
+POSITIONS = st.integers(0, 10**4)
+EDITS = st.one_of(
+    st.tuples(st.sampled_from(["xor", "insert", "reframe"]), POSITIONS,
+              st.integers(1, 255)),
+    st.tuples(st.sampled_from(["delete", "cut"]), POSITIONS),
+    st.tuples(st.just("append"), st.binary(max_size=8)),
+    st.tuples(st.just("twice")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example([ON112, parse_proposition("AB(1)"), parse_proposition("~NT(*)")],
+         [("twice",), ("append", b""), ("reframe", 0, 1), ("cut", 7)])
+@given(st.lists(GENPROPS, min_size=1, max_size=4), st.lists(EDITS, min_size=1, max_size=4))
+def test_transferred_is_the_byte_comparison(props, edits):
+    channels = untouched_shortcut_channels(encode(props[0]))
+    for c in channels + [Channel(EditingTS(edits))]:
+        ref = Channel(c.ts)
+        for p in props:
+            t, want = transmit(c, p), reference_transmit(ref, p)
+            recv = t.recv_proposition
+            assert t.transferred == (t.recv_bytes == t.sent_bytes) == (
+                recv is not None and equivalent(recv, p)) == want["transferred"]
+            assert t.diagnostics == tuple(receive(t.recv_bytes)[1])
+            if t.recv_bytes == t.sent_bytes:
+                assert t.diagnostics == ()
+            v = check_transferable(Channel(c.ts, t.n), p)
+            assert v.kind == (TRANSFERABLE if want["transferred"] else NON_TRANSFERABLE)
+            assert v.notes == (() if want["error"] is None else (want["error"],))
+
+
+def refuse_to_scan(stream):
+    raise AssertionError("scanned")
+
+
+def test_verdict_kind_does_not_decode_the_stream(monkeypatch):
+    monkeypatch.setattr("semchan.channel.receive", refuse_to_scan)
+    swap = make_channel({"kind": "substitute", "map": {"165": 90, "90": 165}})
+    v = check_transferable(swap, ON112)
+    assert v.kind == NON_TRANSFERABLE
+    assert eval_NT(swap, encode_frame(ON112))
+    with pytest.raises(AssertionError, match="scanned"):
+        v.notes
+    # an untouched stream is never scanned, whatever is read
+    v = check_transferable(make_channel({"kind": "perfect"}), ON112)
+    assert v.kind == TRANSFERABLE and v.notes == ()
+    t = v.evidence
+    assert t.recv_proposition is ON112 and t.diagnostics == () and t.error is None
+    assert v.to_json() == {"verdict": TRANSFERABLE, "sent": "ON(112)",
+                           "recv": "ON(112)", "trace": []}
+
+
+def test_transcript_scans_what_arrived_once(monkeypatch):
+    scans = []
+
+    def counting_receive(stream):
+        scans.append(stream)
+        return receive(stream)
+
+    monkeypatch.setattr("semchan.channel.receive", counting_receive)
+    v = check_transferable(make_channel({"kind": "truncate", "max_bits": 100}), ON112)
+    assert scans == []
+    for _ in range(2):
+        assert v.notes == ("no frame recovered (truncated@0: frame extends past "
+                           "end of stream; garbage@1: 12 unframed bytes)",)
+        t = v.evidence
+        assert (t.recv_proposition, t.ok, t.recv) == (None, False, None)
+        assert [d.kind for d in t.diagnostics] == ["truncated", "garbage"]
+        t.to_json()
+    assert scans == [v.evidence.recv_bytes]

@@ -608,6 +608,16 @@ def test_encode_rejects_non_ascii_digits(capsys):
     assert err == "error: bad object: '\u0663' (at byte 2)\n"
 
 
+@pytest.mark.parametrize("text, err", [
+    ("P(" + "9" * 5000 + ")",
+     "error: object number out of range 1..2^64-1: 5000 digits (at byte 2)\n"),
+    ("#" + "9" * 5000 + "(1)",
+     "error: predicate index must be < 2^2040: 5000 digits (at byte 1)\n"),
+], ids=["number", "index"])
+def test_encode_refuses_overlong_literal_with_its_offset(capsys, text, err):
+    assert run_cli(capsys, "encode", text) == (2, "", err)
+
+
 @pytest.mark.parametrize("text, lineno, reason", [
     ("P(1)\n", 1, "expected 'domain:' header"),
     ("domain: 1 x\n", 1, "invalid literal for int() with base 10: 'x'"),

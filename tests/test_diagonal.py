@@ -32,6 +32,7 @@ from semchan.diagonal import (
     FixedPointReport,
     ParadoxReport,
     TraceStep,
+    _cell,
     _diagonal,
 )
 from semchan.transfer import NON_TRANSFERABLE, PARADOXICAL, TRANSFERABLE, Verdict
@@ -495,6 +496,49 @@ def test_fixed_point_memo_is_bounded():
     info = _diagonal.cache_info()
     assert info.misses == 200
     assert info.currsize <= 128
+
+
+# the identity compares two constructions: the B row through _cell, and NT
+# over the table's own diagonal cell, read by its position in rows(); a
+# fault in either one makes it false
+
+@pytest.fixture
+def cold_memo():
+    _diagonal.cache_clear()
+    yield
+    _diagonal.cache_clear()  # drop what a patched path built
+
+
+def test_identity_fails_when_the_B_row_reads_the_wrong_cell(monkeypatch, cold_memo):
+    monkeypatch.setattr("semchan.diagonal._cell", lambda t, n, pol: _cell(t, n - 1, pol))
+    report = find_fixed_point(build_enumeration([P, NT, TR], 3))
+    assert (report.k, report.k_prime) == (2, 3)
+    assert not report.identity_holds and not report.identity_prime_holds
+
+
+def test_identity_fails_when_the_enumeration_is_misread(monkeypatch, cold_memo):
+    row_at = EnumerationTable.row_at
+    monkeypatch.setattr(EnumerationTable, "row_at", lambda t, i: row_at(t, i - 1))
+    report = find_fixed_point(build_enumeration([P, NT, TR], 3))
+    assert not report.identity_holds and not report.identity_prime_holds
+
+
+@pytest.mark.parametrize("preds, max_n", [([P], 1), ([P], 2), ([P, Q], 7), ([NT, P, TR], 1)])
+def test_rows_are_the_cells_in_enumeration_order(preds, max_n):
+    t = build_enumeration(preds, max_n)
+    assert list(t.rows()) == [Proposition(pol, pred, ObjectRef.num(m))
+                              for pred in t.predicates for pol in (True, False)
+                              for m in range(1, max_n + 1)]
+    with pytest.raises(IndexError):
+        t.row_at(2 * len(t.predicates) * max_n)
+
+
+def test_fixed_point_memo_tells_tables_apart(cold_memo):
+    # equal slots, different tables: each report is built from its own table
+    for t in (build_enumeration([P, Q], 4), build_enumeration([Q, P], 2),
+              build_enumeration([P, Q], 2)):
+        assert find_fixed_point(t) == reference_find_fixed_point(t)
+    assert _diagonal.cache_info().misses == 3
 
 
 def nested_objects():

@@ -111,6 +111,45 @@ def test_parse_rejects_non_ascii_digits(text, message, offset):
     assert info.value.offset == offset
 
 
+# a digit run is refused by its significant-digit count before int() reads
+# it: str -> int refuses more than 4,300 digits with no offset
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("P(" + "9" * 5000 + ")", "object number out of range 1..2^64-1: 5000 digits", 2),
+    ("P(1" + "0" * 20 + ")", "object number out of range 1..2^64-1: 21 digits", 2),
+    ("~Q(" + "0" * 30 + "1" * 21 + ")",
+     "object number out of range 1..2^64-1: 21 digits", 3),
+    ("#" + "9" * 5000 + "(1)", "predicate index must be < 2^2040: 5000 digits", 1),
+    ("~#1" + "0" * 615 + "(*)", "predicate index must be < 2^2040: 616 digits", 2),
+], ids=["number-5000", "number-21", "number-21-after-zeros", "index-5000", "index-616"])
+def test_parse_refuses_overlong_digit_runs_by_length(text, message, offset):
+    with pytest.raises(PropositionSyntaxError) as info:
+        parse_proposition(text)
+    assert str(info.value) == f"{message} (at byte {offset})"
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("text, rendered", [
+    ("P(0000000000000000000001)", "P(1)"),
+    ("P(" + "0" * 100 + str(2**64 - 1) + ")", f"P({2**64 - 1})"),
+    ("#" + "0" * 700 + str(2**2040 - 1) + "(1)", f"#{2**2040 - 1}(1)"),
+    ("#0000001(*)", "#1(*)"),
+])
+def test_parse_takes_leading_zeros_of_the_longest_literals(text, rendered):
+    assert render_proposition(parse_proposition(text)) == rendered
+
+
+@pytest.mark.parametrize("text, message", [
+    ("P(" + "0" * 25 + ")", "object 0 must be written '*' (all objects) (at byte 2)"),
+    (f"P({2**64})", f"object number out of range 1..2^64-1: {2**64}"),
+    (f"#{2**2040}(1)", "predicate index must be < 2^2040"),
+], ids=["zero", "number-20-digits", "index-615-digits"])
+def test_literals_within_the_digit_limits_keep_their_errors(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_proposition(text)
+    assert str(info.value) == message
+
+
 @given(ground_props)
 def test_render_parse_fixed_point(p):
     assert parse_proposition(render_proposition(p)) == p

@@ -546,7 +546,16 @@ def test_verify_bridge_encodes_each_row_once(monkeypatch, name):
         verify_bridge(make_channel(BRIDGE_CHANNELS[name]), w, corpus)
     except ChannelNotActiveError:
         assert name.endswith("collides")
-    assert encoded == corpus
+        assert encoded == corpus
+    else:
+        # each row once, then the decoded diagonal frame F* once
+        assert encoded == corpus + [bridge_star(w)]
+
+
+def bridge_star(w):
+    """The diagonal row's proposition, decoded from F* as the bridge builds it."""
+    preds = w.predicates()
+    return decode_frame(find_fixed_point(build_enumeration(preds, len(preds))).frame_star)
 
 
 def test_sampled_bridge_probes_the_rows_it_checks():
@@ -738,7 +747,8 @@ def test_second_bridge_encodes_and_renders_no_stored_row(monkeypatch):
     monkeypatch.setattr("semchan.tarski.render_proposition", counting_render)
     c = make_channel(BRIDGE_CHANNELS["truncate-512-fits"])
     report = verify_bridge(c, w, corpus)
-    assert encoded == foreign[:2]  # ~ON(*) is the world's own atom
+    # ~ON(*) is the world's own atom; the decoded F* is encoded once
+    assert encoded == foreign[:2] + [bridge_star(w)]
     assert rendered == []  # rows render their text only when read
     monkeypatch.undo()
     assert report.to_json() == reference_verify_bridge(

@@ -1019,6 +1019,10 @@ def test_predicate_index_over_255_bytes_is_refused_when_built():
     with pytest.raises(ValueError, match=r"^predicate index must be < 2\^2040$"):
         PredicateCode(2**2040)
     with pytest.raises(ValueError, match=r"^predicate index must be < 2\^2040$"):
+        parse_proposition("#" + str(2**2040) + "(1)")
+    # a literal of more than 615 digits is refused by its length, at its offset
+    with pytest.raises(ValueError,
+                       match=r"^predicate index must be < 2\^2040: 633 digits \(at byte 1\)$"):
         parse_proposition("#" + str(2**2100) + "(1)")
     assert len(encode(parse_proposition("#" + str(2**2040 - 1) + "(1)"))) == 269
 
